@@ -47,6 +47,27 @@ def measure_peak_alloc(fn, *args, **kwargs):
     return result, peak
 
 
+#: Resolution of :func:`measure_peak_rss` (``ru_maxrss`` counts KiB).
+RSS_RESOLUTION_BYTES = 1024
+
+
+def resolved_ratio(numerator: float, denominator: float,
+                   resolution: float = 1) -> Optional[float]:
+    """``numerator / denominator``, or ``None`` when the denominator is
+    below the measurement's ``resolution`` — a peak-memory delta that
+    reads 0 says "too small to see", not "free", and dividing by it (or
+    by a clamp like ``max(1, ...)``) reports a meaningless ratio."""
+    if denominator < resolution:
+        return None
+    return numerator / denominator
+
+
+def format_ratio(ratio: Optional[float]) -> str:
+    """``"12.3x"``, or ``"unresolved"`` for a :func:`resolved_ratio`
+    that had nothing to divide by."""
+    return "unresolved" if ratio is None else "%.1fx" % ratio
+
+
 def measure_peak_rss(fn, *args, **kwargs):
     """Run ``fn`` in a forked child; return its peak-RSS *growth* in bytes.
 

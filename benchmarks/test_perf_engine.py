@@ -2,10 +2,13 @@
 
 Measures steps/sec for the four phases of the DrDebug workflow on
 PARSEC-like, SPECOMP-like and pointer-chasing (struct/heap) workloads,
-running *both* engines in the same
-process so the comparison is apples-to-apples on the same machine state:
+running the predecoded machine and the seed if/elif interpreter
+(:mod:`tests.support.seed_vm`, the differential tests' reference) in
+the same process so the comparison is apples-to-apples on the same
+machine state:
 
-* **record** — ``record_region`` with the logger tool attached;
+* **record** — ``record_region``: the fast recorder on the predecoded
+  machine, the per-event logger tool on the seed interpreter;
 * **replay** — untraced pinball replay (no tools: the predecoded engine's
   fast path, the analog of Pin-only speed);
 * **trace**  — replay with the slicing tracer attached (traced micro-op
@@ -25,10 +28,12 @@ separate *untimed* instrumented pass — so the timed sections stay
 obs-disabled and the report still explains what each phase did.
 
 Results are written to ``BENCH_engine.json`` at the repo root.  In full
-mode the run *asserts* the acceptance bars:
-
-* untraced replay ≥ 2.5× steps/sec over the legacy engine;
-* end-to-end slicing pipeline (trace + preprocess + slice) ≥ 1.5×.
+mode the run *asserts* the acceptance bar: untraced replay ≥ 2.5×
+steps/sec over the seed interpreter.  The record, trace and slicing
+pipeline (trace + preprocess + slice) ratios are reported.  Both rows
+slice over the one columnar trace store, so the pipeline ratio isolates
+the interpreter; it carries no bar (the old ≥ 1.5× pipeline bar measured
+the seed interpreter *plus* the since-removed record-per-row store).
 
 Set ``REPRO_PERF_SMOKE=1`` (CI) for a reduced-size run that checks the
 machinery and writes the JSON but skips the ratio assertions — shared
@@ -56,6 +61,9 @@ from repro.vm import RandomScheduler
 from repro.workloads import get_parsec, get_pointer, get_specomp
 
 from repro.config import perf_smoke
+from repro.vm.hooks import Tool
+
+from tests.support.seed_vm import seed_interpreter
 
 SMOKE = perf_smoke()
 
@@ -83,9 +91,27 @@ else:
     PIPELINE_REPEATS = 3
     LOAD_REPEATS = 25
 
-ENGINES = ("legacy", "predecoded")
+ENGINES = ("seed", "predecoded")
 BENCH_PATH = os.path.join(os.path.dirname(__file__), os.pardir,
                           "BENCH_engine.json")
+
+
+@contextmanager
+def _engine(engine: str):
+    """Build the pinplay layer's machines for ``engine``."""
+    if engine == "seed":
+        with seed_interpreter():
+            yield
+    else:
+        yield
+
+
+def _record(program, engine: str):
+    # The seed interpreter has no fast record path: an extra tool routes
+    # it through the per-event LoggerTool.
+    extra = [Tool()] if engine == "seed" else []
+    return record_region(program, RandomScheduler(seed=7), RegionSpec(),
+                         extra_tools=extra)
 
 
 @contextmanager
@@ -125,17 +151,15 @@ def _harvest_obs(program, pinball, engine: str, options) -> Dict[str, dict]:
     benchmark process.)
     """
     phases: Dict[str, dict] = {}
-    with OBS.scope(enabled=True):
+    with OBS.scope(enabled=True), _engine(engine):
         OBS.reset()
-        record_region(program, RandomScheduler(seed=7), RegionSpec(),
-                      engine=engine)
+        _record(program, engine)
         phases["record"] = _layer_counters()
         OBS.reset()
-        replay(pinball, program, engine=engine, verify=False)
+        replay(pinball, program, verify=False)
         phases["replay"] = _layer_counters()
         OBS.reset()
-        session = SlicingSession(pinball, program, engine=engine,
-                                 options=options)
+        session = SlicingSession(pinball, program, options=options)
         for criterion in session.last_reads(10):
             session.slice_for(criterion)
         phases["pipeline"] = _layer_counters()
@@ -148,11 +172,10 @@ def _bench_workload(suite: str, kernel: str, params: dict) -> List[dict]:
     program = _build(suite, kernel, params)
     rows = []
     for engine in ENGINES:
-        # -- record (logger tool attached) -------------------------------
-        with _quiesced():
+        # -- record ------------------------------------------------------
+        with _quiesced(), _engine(engine):
             started = time.perf_counter()
-            pinball = record_region(program, RandomScheduler(seed=7),
-                                    RegionSpec(), engine=engine)
+            pinball = _record(program, engine)
             record_time = time.perf_counter() - started
         steps = pinball.total_steps
 
@@ -162,29 +185,28 @@ def _bench_workload(suite: str, kernel: str, params: dict) -> List[dict]:
         # only the re-execution loop, so the steps/sec number measures the
         # interpreter, not snapshot deserialization (which is identical
         # for both engines).
-        replay(pinball, program, engine=engine, verify=True)
+        with _engine(engine):
+            replay(pinball, program, verify=True)
         replay_time = float("inf")
-        with _quiesced():
+        with _quiesced(), _engine(engine):
             for _ in range(REPLAY_REPEATS):
-                machine = replay_machine(pinball, program, engine=engine)
+                machine = replay_machine(pinball, program)
                 started = time.perf_counter()
                 machine.run(max_steps=pinball.total_steps)
                 replay_time = min(replay_time,
                                   time.perf_counter() - started)
 
         # -- traced replay + preprocess + slice (the slicing pipeline) ---
-        # The legacy row runs the full seed configuration — seed
-        # interpreter *and* seed record-per-row trace store — so the
-        # pipeline ratio is "new hot path vs. seed baseline" measured in
-        # the same process.  Each repeat builds a *fresh* session (cold
-        # trace, cold caches); the fastest repeat is reported, which is
-        # standard best-of-N noise suppression.
-        options = SliceOptions(columnar=(engine == "predecoded"))
+        # Both rows trace into the same columnar store with the same
+        # index, so the ratio is the interpreter's share of the pipeline.
+        # Each repeat builds a *fresh* session (cold trace, cold caches);
+        # the fastest repeat is reported, which is standard best-of-N
+        # noise suppression.
+        options = SliceOptions(index="ddg")
         best = None
         for _ in range(PIPELINE_REPEATS):
-            with _quiesced():
-                session = SlicingSession(pinball, program, engine=engine,
-                                         options=options)
+            with _quiesced(), _engine(engine):
+                session = SlicingSession(pinball, program, options=options)
                 started = time.perf_counter()
                 for criterion in session.last_reads(10):
                     session.slice_for(criterion)
@@ -299,16 +321,19 @@ def test_perf_engine():
     load_stats = _bench_pinball_load()
 
     replay_speedup = (totals["predecoded"]["replay_steps_per_sec"]
-                      / totals["legacy"]["replay_steps_per_sec"])
+                      / totals["seed"]["replay_steps_per_sec"])
     record_speedup = (totals["predecoded"]["record_steps_per_sec"]
-                      / totals["legacy"]["record_steps_per_sec"])
+                      / totals["seed"]["record_steps_per_sec"])
     trace_speedup = (totals["predecoded"]["trace_steps_per_sec"]
-                     / totals["legacy"]["trace_steps_per_sec"])
-    pipeline_speedup = (totals["legacy"]["pipeline_time_sec"]
+                     / totals["seed"]["trace_steps_per_sec"])
+    pipeline_speedup = (totals["seed"]["pipeline_time_sec"]
                         / totals["predecoded"]["pipeline_time_sec"])
 
     report = {
-        "schema_version": 2,      # 2: rows carry per-phase "obs" counters
+        # 3: the baseline rows are the seed interpreter of
+        # tests/support/seed_vm.py ("seed"), slicing over the columnar
+        # store like the predecoded rows.
+        "schema_version": 3,
         "smoke": SMOKE,
         "workloads": rows,
         "totals": totals,
@@ -324,7 +349,7 @@ def test_perf_engine():
     with open(path, "w") as handle:
         json.dump(report, handle, indent=2, sort_keys=True)
 
-    print("\nengine speedups (predecoded vs legacy): "
+    print("\nengine speedups (predecoded vs seed interpreter): "
           "replay %.2fx  record %.2fx  trace %.2fx  pipeline %.2fx  "
           "pinball-load %.2fx (v2 lazy open %.2fx)"
           % (replay_speedup, record_speedup, trace_speedup,
@@ -343,6 +368,3 @@ def test_perf_engine():
         assert replay_speedup >= 2.5, (
             "untraced replay speedup %.2fx below the 2.5x bar"
             % replay_speedup)
-        assert pipeline_speedup >= 1.5, (
-            "slicing pipeline speedup %.2fx below the 1.5x bar"
-            % pipeline_speedup)

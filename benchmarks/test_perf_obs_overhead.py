@@ -120,7 +120,6 @@ def _run_variant(mode: str) -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(REPO_ROOT, "src")
     env.pop("REPRO_OBS", None)       # candidate must be *disabled*, not off
-    env.pop("REPRO_ENGINE", None)    # both variants on the default engine
     completed = subprocess.run(
         [sys.executable, "-c", _WORKER, mode, str(UNITS),
          str(REPLAY_REPEATS)],

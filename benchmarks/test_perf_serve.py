@@ -138,7 +138,7 @@ def _warm_processes(pool: WorkerPool) -> None:
 
     The benchmark compares *session build* parallelism, not Python
     import latency, so process warm-up stays outside the timed window.
-    (``_execute`` performs its imports on every op, so a ping is enough.)
+    (``_dispatch`` performs its imports on every op, so a ping is enough.)
     """
     for worker in range(pool.workers):
         pool.call("ping", {}, worker=worker, timeout=600)

@@ -133,7 +133,7 @@ def hunt_context(pinball: Pinball, program: Program,
         "recorded_runs": [list(run) for run in pinball.schedule],
         "reference_output": None,
     }
-    reference = _execute(program, RoundRobinScheduler(), ctx)
+    reference = _record_run(program, RoundRobinScheduler(), ctx)
     if not reference.meta.get("failure"):
         ctx["reference_output"] = list(reference.meta.get("output", []))
     return ctx
@@ -145,7 +145,7 @@ def _region(ctx: dict) -> RegionSpec:
                       length=int(length) if length is not None else None)
 
 
-def _execute(program: Program, scheduler: Scheduler, ctx: dict,
+def _record_run(program: Program, scheduler: Scheduler, ctx: dict,
              extra_tools=()) -> Pinball:
     """One pinned re-execution of the hunted region."""
     return record_region(program, scheduler, _region(ctx),
@@ -274,7 +274,7 @@ def evaluate(program: Program, candidates: Sequence[dict],
     for candidate in candidates:
         scheduler, extras = _scheduler_for(candidate, ctx)
         with OBS.span("hunt.candidate_run"):
-            pinball = _execute(program, scheduler, ctx, extra_tools=extras)
+            pinball = _record_run(program, scheduler, ctx, extra_tools=extras)
         outcome, failure = _classify(pinball, ctx)
         row = {"cid": candidate["cid"], "outcome": outcome,
                "failure": failure,
@@ -327,7 +327,7 @@ def minimize_schedule(program: Program, runs, outcome: str,
     trials = 0
 
     def attempt(candidate_runs) -> Optional[Pinball]:
-        pinball = _execute(program, PerturbedScheduler(candidate_runs), ctx)
+        pinball = _record_run(program, PerturbedScheduler(candidate_runs), ctx)
         if _reproduces(pinball, outcome, failure, ctx):
             return pinball
         return None
@@ -354,7 +354,7 @@ def minimize_schedule(program: Program, runs, outcome: str,
         # Nothing could be removed: re-record the original schedule so
         # the minimized pinball is still a PerturbedScheduler product
         # (deterministic bytes either way).
-        best = _execute(program, PerturbedScheduler(current), ctx)
+        best = _record_run(program, PerturbedScheduler(current), ctx)
         if not _reproduces(best, outcome, failure, ctx):
             raise RuntimeError(
                 "exposing schedule did not reproduce under re-execution")

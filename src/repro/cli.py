@@ -44,6 +44,7 @@ from repro.pinplay import (Pinball, RegionSpec, generate_checkpoints,
 from repro.serve import DebugClient, DebugServer, RpcRemoteError, run_server
 from repro.serve.server import DEFAULT_HOST, DEFAULT_PORT
 from repro.slicing import SliceOptions, SlicingSession
+from repro.slicing.options import SLICE_INDEXES
 from repro.vm import Machine, RandomScheduler, RoundRobinScheduler
 
 
@@ -144,10 +145,9 @@ def cmd_record(args) -> int:
                       file=sys.stderr)
                 return 1
     else:
-        # v2 on the fast record path streams frames straight to the
-        # output file (flat peak memory); otherwise record in memory and
-        # save in the requested format below.
-        stream = fmt == "v2" and config.engine() == "predecoded"
+        # v2 streams frames straight to the output file (flat peak
+        # memory); v1 records in memory and saves below.
+        stream = fmt == "v2"
         pinball = record_region(
             program, _scheduler(args), region,
             inputs=inputs, rand_seed=args.rand_seed,
@@ -533,7 +533,7 @@ def cmd_client(args) -> int:
         elif verb == "slice":
             options = {}
             if args.var:
-                # Canonical wire vocabulary (legacy "var" still accepted
+                # Canonical wire vocabulary (the older "var" is still accepted
                 # server-side by resolve_criterion).
                 options["global_name"] = args.var
             if args.line is not None:
@@ -721,7 +721,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="disable save/restore pruning")
     sl.add_argument("--no-refine", action="store_true",
                     help="disable indirect-jump CFG refinement")
-    sl.add_argument("--index", choices=("ddg", "columnar", "rows", "reexec"),
+    sl.add_argument("--index", choices=SLICE_INDEXES,
                     default=None,
                     help="slice-query engine (default: the build-once DDG "
                          "index, or $REPRO_SLICE_INDEX)")
@@ -786,7 +786,7 @@ def build_parser() -> argparse.ArgumentParser:
     debug.add_argument("--checkpoint-interval", type=int, default=None,
                        help="steps between reverse-debug checkpoints "
                             "(default: $REPRO_CHECKPOINT_INTERVAL or 500)")
-    debug.add_argument("--slice-index", choices=("ddg", "columnar", "rows", "reexec"),
+    debug.add_argument("--slice-index", choices=SLICE_INDEXES,
                        default=None,
                        help="slice-query engine for slicing commands")
     debug.add_argument("--shards", type=int, default=None, metavar="K",
@@ -901,7 +901,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="restrict --var/--line resolution to one thread")
     csl.add_argument("--slice-pinball", action="store_true",
                      help="store the relogged slice pinball too")
-    csl.add_argument("--index", choices=("ddg", "columnar", "rows", "reexec"),
+    csl.add_argument("--index", choices=SLICE_INDEXES,
                      default=None)
     csl.add_argument("--shards", type=int, default=None, metavar="K",
                      help="build the session region-sharded (needs a "

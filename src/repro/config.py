@@ -3,17 +3,17 @@
 Four PRs of growth scattered configuration across the tree: the slice
 engine hid in ``repro.slicing.options``, the observability toggle in
 ``repro.obs.registry``'s import-time check, the pool width in
-``repro.serve.workers``, the interpreter choice in ``repro.vm.machine``
-and the benchmark smoke switch in every ``benchmarks/test_perf_*``
-module.  Each read ``os.environ`` itself with its own parsing and its
-own (sometimes inconsistent) fallback behavior.  This module replaces
+``repro.serve.workers`` and the benchmark smoke switch in every
+``benchmarks/test_perf_*`` module.  Each read ``os.environ`` itself
+with its own parsing and its own (sometimes inconsistent) fallback
+behavior.  This module replaces
 all of those with a single table of knobs and one precedence rule.
 
 **Precedence**, strongest first:
 
 1. **explicit argument** — a value passed directly to a constructor or
-   function (``SliceOptions(index="rows")``, ``WorkerPool(workers=4)``,
-   ``Machine(..., engine="legacy")``);
+   function (``SliceOptions(index="columnar")``,
+   ``WorkerPool(workers=4)``);
 2. **CLI flag** — the command line (``--shards``, ``--obs``,
    ``--workers``).  The CLI resolves flags through :func:`resolve`
    before constructing anything, so lower layers never see argparse;
@@ -26,7 +26,6 @@ The knobs:
 ========================  =========================  ==========  =======
 environment variable      resolver                   type        default
 ========================  =========================  ==========  =======
-``REPRO_ENGINE``          :func:`engine`             choice      ``predecoded``
 ``REPRO_SLICE_INDEX``     :func:`slice_index`        choice      ``ddg``
 ``REPRO_SLICE_SHARDS``    :func:`slice_shards`       int >= 1    ``1``
 ``REPRO_OBS``             :func:`obs_enabled`        bool        ``False``
@@ -50,6 +49,11 @@ Semantics, uniform across every knob:
   ``REPRO_SLICE_INDEX=quantum`` should fail the run loudly rather than
   silently pick the default and invalidate the CI matrix leg that set
   it.  An unset/empty variable simply falls through to the default.
+
+:func:`engine` is not a knob: the predecoded micro-op interpreter is the
+only one, so it returns ``"predecoded"`` and rejects any other explicit
+value.  It stays so callers that pin ``engine="predecoded"`` keep
+working.
 
 This module deliberately imports nothing from the rest of ``repro`` so
 every layer (including :mod:`repro.obs.registry`, which consults it at
@@ -82,10 +86,10 @@ __all__ = [
     "slice_shards",
 ]
 
-#: Recognised interpreter engines (mirrored by ``repro.vm.ENGINES``).
-_ENGINES = ("predecoded", "legacy")
+#: The interpreter (see :func:`engine`).
+_ENGINE = "predecoded"
 #: Recognised slice-query engines (mirrored by ``SLICE_INDEXES``).
-_SLICE_INDEXES = ("ddg", "columnar", "rows", "reexec")
+_SLICE_INDEXES = ("ddg", "columnar", "reexec")
 #: Recognised pinball serialization formats.
 _PINBALL_FORMATS = ("v1", "v2")
 
@@ -151,9 +155,6 @@ def _identity(text: str):
 
 KNOBS: Dict[str, Knob] = {
     knob.name: knob for knob in (
-        Knob("engine", "REPRO_ENGINE", "predecoded", _identity,
-             _choice(_ENGINES),
-             doc="interpreter engine for new Machines"),
         Knob("slice_index", "REPRO_SLICE_INDEX", "ddg", _identity,
              _choice(_SLICE_INDEXES),
              doc="slice-query engine (DDG, backward scans, or reexec)"),
@@ -213,15 +214,25 @@ def resolve(name: str, explicit=None, cli=None):
 
 # -- typed conveniences (what the rest of the tree calls) ---------------------
 
-def engine(explicit: Optional[str] = None, cli: Optional[str] = None) -> str:
-    """Interpreter engine: ``predecoded`` (default) or ``legacy``."""
-    return resolve("engine", explicit, cli)
+def engine(explicit: Optional[str] = None) -> str:
+    """The interpreter: always ``predecoded``.
+
+    The one validation point for the ``engine=`` keyword that
+    :func:`~repro.pinplay.logger.record_region`,
+    :func:`~repro.pinplay.replayer.replay` and
+    :class:`~repro.slicing.api.SlicingSession` accept: ``None`` or
+    ``"predecoded"`` pass, anything else raises :class:`ValueError`.
+    """
+    if explicit is not None and explicit != _ENGINE:
+        raise ValueError("engine: must be %r (the only interpreter), got %r"
+                         % (_ENGINE, explicit))
+    return _ENGINE
 
 
 def slice_index(explicit: Optional[str] = None,
                 cli: Optional[str] = None) -> str:
-    """Slice-query engine: ``ddg`` (default), ``columnar``, ``rows`` or
-    ``reexec`` (on-demand re-execution over the pinball)."""
+    """Slice-query engine: ``ddg`` (default), ``columnar`` or ``reexec``
+    (on-demand re-execution over the pinball)."""
     return resolve("slice_index", explicit, cli)
 
 

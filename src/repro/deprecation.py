@@ -1,39 +1,16 @@
 """Deprecation shims for the unified public API surface.
 
-The slice entry points (``DrDebugSession.slice_for_variable``,
-``SlicingSession.slice_for_global``, the serve ``slice`` verb) grew
-three different criterion keyword vocabularies over four PRs; they now
-share one (``global_name=``, ``line=``, ``tid=``, ``instance=``).  The
-old keywords keep working through :func:`deprecated_kwarg` — callers
-get a :class:`DeprecationWarning` naming the replacement, and passing
-both the old and the new spelling is a :class:`TypeError` rather than a
-silent pick.
+Analysis-report payloads (``races``, ``hunt``, maple) grew one versioned
+schema (:mod:`repro.analysis.report`); :func:`deprecated_field` still
+reads the pre-schema field spellings, with a :class:`DeprecationWarning`
+naming the replacement.
 """
 
 from __future__ import annotations
 
 import warnings
 
-__all__ = ["deprecated_field", "deprecated_kwarg"]
-
-
-def deprecated_kwarg(old_name: str, old_value, new_name: str, new_value,
-                     stacklevel: int = 3):
-    """Resolve one renamed keyword argument.
-
-    Returns ``new_value`` when the old spelling was not used; otherwise
-    warns (``DeprecationWarning``) and returns ``old_value``.  Passing
-    both spellings raises ``TypeError``.
-    """
-    if old_value is None:
-        return new_value
-    warnings.warn("keyword %r is deprecated; use %r"
-                  % (old_name, new_name), DeprecationWarning,
-                  stacklevel=stacklevel)
-    if new_value is not None:
-        raise TypeError("got both %r and its deprecated alias %r"
-                        % (new_name, old_name))
-    return old_value
+__all__ = ["deprecated_field"]
 
 
 _MISSING = object()

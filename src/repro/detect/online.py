@@ -163,16 +163,12 @@ class OnlineRaceDetector(RaceDetectorTool):
         return on_mem
 
 
-def online_capable(pinball: Pinball, engine: Optional[str] = None) -> bool:
+def online_capable(pinball: Pinball) -> bool:
     """Can this pinball replay with the fast-path detector?
 
-    The recorder protocol requires the predecoded engine and rejects
-    exclusion skips, so slice pinballs and legacy-engine runs fall back
-    to the traced detector.
+    The recorder protocol rejects exclusion skips, so slice pinballs
+    fall back to the traced detector.
     """
-    from repro import config
-    if config.engine(explicit=engine) != "predecoded":
-        return False
     return not pinball.exclusions
 
 

@@ -249,7 +249,7 @@ def detect_races(pinball: Pinball, program: Program,
     :mod:`repro.detect.online`), False forces the classic traced tool.
     The default resolves through :func:`repro.config.detect_online` and
     falls back to the traced path automatically when the pinball cannot
-    ride the fast path (slice pinballs, legacy engine).  Both paths
+    ride the fast path (slice pinballs).  Both paths
     report the same races.
     """
     from repro import config

@@ -213,9 +213,10 @@ class Instr:
         closure on this shape at decode time — e.g. ``mov`` with shape
         ``"ri"`` binds an immediate-store handler, ``"rr"`` a
         register-copy handler — instead of isinstance-testing operands in
-        the execution hot path.  Unknown shapes (``"?"``) make the
-        decoder fall back to the generic interpreter so malformed
-        programs keep their exact legacy error behavior.
+        the execution hot path.  A shape no handler exists for (a label
+        left unresolved, an unknown operand type ``"?"``, ``mov`` into an
+        immediate, ...) decodes to a handler that raises
+        :class:`~repro.vm.errors.VMError` when the instruction executes.
         """
         return "".join(_OPERAND_KIND_CODES.get(type(operand), "?")
                        for operand in self.operands)

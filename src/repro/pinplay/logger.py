@@ -277,8 +277,8 @@ class _CheckpointHook(Tool):
 
     ``on_step`` fires after ``self.steps`` region steps have completed
     and before the pending one executes — the same capture point the
-    fast path uses — so v2 recordings made with extra tools or the
-    legacy engine embed byte-identical checkpoints.
+    fast path uses — so v2 recordings made with extra tools embed
+    byte-identical checkpoints.
     """
 
     def __init__(self, machine: Machine, logger: LoggerTool,
@@ -327,15 +327,15 @@ def record_region(program: Program,
     ``scheduler`` drives the interleaving of the *recording* run (e.g. a
     seeded :class:`~repro.vm.scheduler.RandomScheduler` to shake out a
     race).  ``extra_tools`` attach additional analyses to the recorded
-    region (used by the Maple integration).  ``engine`` selects the
-    interpreter (see :data:`repro.vm.machine.ENGINES`); the fast-forward
-    phase runs with no tools attached, so the predecoded engine's
-    untraced path gives it Pin-only speed.
+    region (used by the Maple integration).  ``engine`` is validated by
+    :func:`repro.config.engine` (``"predecoded"`` is the only
+    interpreter).  The fast-forward phase runs with no tools attached,
+    so the untraced micro-op path gives it Pin-only speed.
 
     The record phase itself uses the event-free :class:`FastRecorder`
-    whenever it can (predecoded engine, no extra tools) and falls back
-    to the classic :class:`LoggerTool` otherwise — both produce
-    identical pinballs (the differential suite asserts it).
+    unless extra tools need per-instruction events, in which case the
+    classic :class:`LoggerTool` records — both produce identical
+    pinballs (the differential suite asserts it).
 
     ``pinball_format``/``checkpoint_interval`` default to the config
     knobs.  Under format v2 the recorder embeds a machine checkpoint
@@ -357,9 +357,9 @@ def record_region(program: Program,
         interval = 0
     if stream_path is not None and fmt != "v2":
         raise ValueError("stream_path requires pinball format v2")
+    config.engine(explicit=engine)
     machine = Machine(program, scheduler=scheduler, inputs=inputs,
-                      rand_seed=rand_seed, engine=engine,
-                      heap_poison=heap_poison)
+                      rand_seed=rand_seed, heap_poison=heap_poison)
     if region.skip:
         with OBS.span("pinplay.fast_forward"):
             _fast_forward(machine, region.skip)
@@ -368,7 +368,7 @@ def record_region(program: Program,
     snapshot = machine.snapshot().to_dict()
     output_start = len(machine.output)
 
-    use_fast = machine.engine == "predecoded" and not extra_tools
+    use_fast = not extra_tools
     recorder = tool = hook = None
     writer = stream_fh = None
     if use_fast:
@@ -384,7 +384,7 @@ def record_region(program: Program,
         if stream_path is not None:
             raise ValueError(
                 "stream_path requires the fast record path "
-                "(predecoded engine, no extra tools)")
+                "(no extra tools)")
         tool = LoggerTool()
         machine.add_tool(tool)
         if interval:

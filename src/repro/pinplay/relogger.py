@@ -151,8 +151,7 @@ class RelogTool(Tool):
 
 
 def relog(region_pinball: Pinball, program: Program,
-          keep: Dict[int, Set[int]],
-          engine: Optional[str] = None) -> Pinball:
+          keep: Dict[int, Set[int]]) -> Pinball:
     """Produce a slice pinball from ``region_pinball``.
 
     ``keep`` maps tid -> set of region-relative instruction indices that
@@ -162,7 +161,7 @@ def relog(region_pinball: Pinball, program: Program,
     counts = region_pinball.meta.get("thread_instr_counts", {})
     last_tindex = {int(tid): int(count) - 1
                    for tid, count in counts.items() if int(count) > 0}
-    machine = replay_machine(region_pinball, program, engine=engine)
+    machine = replay_machine(region_pinball, program)
     tool = RelogTool(machine, program, keep, last_tindex)
     machine.add_tool(tool)
     with OBS.span("pinplay.relog"):

@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Dict, Optional, Sequence, Tuple
 
+from repro import config
 from repro.isa.program import Program
 from repro.obs.registry import OBS
 from repro.pinplay.format_v2 import (EmbeddedCheckpoint, capture_state,
@@ -69,15 +70,14 @@ class SyscallInjector:
 
 
 def replay_machine(pinball: Pinball, program: Program,
-                   tools: Sequence[Tool] = (),
-                   engine: Optional[str] = None) -> Machine:
+                   tools: Sequence[Tool] = ()) -> Machine:
     """Build a machine primed to replay ``pinball`` (without running it).
 
     The debugger uses this to drive replay interactively (breakpoints,
     stepping); batch analyses use :func:`replay` instead.  Replay is pure
-    re-execution: with no per-instruction tools attached the predecoded
-    engine's untraced fast path executes the whole schedule without
-    building a single event.
+    re-execution: with no per-instruction tools attached the untraced
+    micro-op path executes the whole schedule without building a single
+    event.
     """
     if program.name != pinball.program_name:
         raise ReplayDivergence(
@@ -88,7 +88,7 @@ def replay_machine(pinball: Pinball, program: Program,
     machine = Machine.from_snapshot(
         program, MachineSnapshot.from_dict(pinball.snapshot),
         scheduler=scheduler, tools=tools,
-        syscall_injector=injector.inject, engine=engine)
+        syscall_injector=injector.inject)
     if pinball.exclusions:
         machine.install_exclusions(pinball.exclusions)
     return machine
@@ -107,8 +107,7 @@ def best_checkpoint(pinball: Pinball,
 
 
 def resume_machine(pinball: Pinball, program: Program,
-                   checkpoint: EmbeddedCheckpoint,
-                   engine: Optional[str] = None
+                   checkpoint: EmbeddedCheckpoint
                    ) -> Tuple[Machine, SyscallInjector]:
     """A machine resumed *mid-region* from an embedded checkpoint.
 
@@ -129,8 +128,7 @@ def resume_machine(pinball: Pinball, program: Program,
     injector.rewind_to(body["consumed"])
     machine = Machine.from_snapshot(
         program, MachineSnapshot.from_dict(body["snapshot"]),
-        scheduler=scheduler, syscall_injector=injector.inject,
-        engine=engine)
+        scheduler=scheduler, syscall_injector=injector.inject)
     machine.global_seq = checkpoint.global_seq
     machine.output = list(body["output"])
     for tid, count in body["instr_counts"].items():
@@ -143,8 +141,7 @@ def resume_machine(pinball: Pinball, program: Program,
 
 
 def generate_checkpoints(pinball: Pinball, program: Program,
-                         interval: int,
-                         engine: Optional[str] = None) -> list:
+                         interval: int) -> list:
     """Embedded checkpoints for a pinball recorded without them.
 
     One replay pass, stopping every ``interval`` steps to capture a
@@ -161,8 +158,7 @@ def generate_checkpoints(pinball: Pinball, program: Program,
     injector = SyscallInjector(pinball.syscalls)
     machine = Machine.from_snapshot(
         program, MachineSnapshot.from_dict(pinball.snapshot),
-        scheduler=scheduler, syscall_injector=injector.inject,
-        engine=engine)
+        scheduler=scheduler, syscall_injector=injector.inject)
     total = pinball.total_steps
     checkpoints = []
     done = 0
@@ -189,8 +185,10 @@ def replay(pinball: Pinball, program: Program,
     raises :class:`ReplayDivergence` if the final state hash does not match
     the hash recorded at logging time (skipped for slice pinballs, whose
     excluded code legitimately leaves different dead state behind).
+    ``engine`` is validated by :func:`repro.config.engine`.
     """
-    machine = replay_machine(pinball, program, tools=tools, engine=engine)
+    config.engine(explicit=engine)
+    machine = replay_machine(pinball, program, tools=tools)
     with OBS.span("pinplay.replay"):
         result = machine.run(max_steps=pinball.total_steps)
     if OBS.enabled:

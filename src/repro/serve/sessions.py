@@ -328,7 +328,7 @@ def race_payload(races, program) -> dict:
     """Deterministic JSON rendering of a race-detection result.
 
     Thin wrapper over the unified report schema
-    (:func:`repro.analysis.report.races_report_payload`); the legacy
+    (:func:`repro.analysis.report.races_report_payload`); the pre-schema
     ``race_count``/``races`` spellings ride along in the envelope for
     one deprecation cycle.
     """

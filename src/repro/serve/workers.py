@@ -125,7 +125,7 @@ class _Pending:
 
 # -- worker process side ------------------------------------------------------
 
-def _execute(op: str, params: dict, store, manager):
+def _dispatch(op: str, params: dict, store, manager):
     """Run one operation inside the worker process."""
     from repro.pinplay import Pinball, RegionSpec, record_region, replay
     from repro.serve.sessions import (race_payload, replay_payload,
@@ -307,7 +307,7 @@ def _worker_main(worker_id: int, task_q, result_q, store_root: Optional[str],
         req_id, op, params = item
         try:
             with OBS.span("serve/worker/%s" % op):
-                result = _execute(op, params or {}, store, manager)
+                result = _dispatch(op, params or {}, store, manager)
         except BaseException as exc:   # noqa: BLE001 — wire it back
             result_q.put((req_id, worker_id, "error",
                           {"op": op, "type": type(exc).__name__,

@@ -23,14 +23,14 @@ improvements:
 By default step 3 is served by the build-once CSR dependence index of
 :mod:`repro.slicing.ddg` (``SliceOptions(index="ddg")``): one pass
 compiles every dependence edge, then interactive queries are memoized
-graph traversals — the backward scans remain available as the
-``"columnar"`` and ``"rows"`` baselines.
+graph traversals — the LP backward scan remains available as the
+``"columnar"`` baseline.
 
 High-level entry point: :class:`~repro.slicing.api.SlicingSession`.
 """
 
 from repro.slicing.options import SliceOptions
-from repro.slicing.trace import TraceRecord, TraceStore
+from repro.slicing.trace import TraceRecord
 from repro.slicing.slice import DynamicSlice
 from repro.slicing.global_trace import GlobalTrace, merge_traces
 from repro.slicing.ddg import DependenceIndex
@@ -49,7 +49,6 @@ __all__ = [
     "SlicingSession",
     "TraceCollector",
     "TraceRecord",
-    "TraceStore",
     "dual_slice",
     "merge_traces",
 ]

@@ -10,9 +10,9 @@ replay entirely: a :class:`~repro.slicing.reexec.ReexecIndex` scaffold
 pass (selective tracing, near-untraced speed) seeds the session, and each
 query re-replays only the checkpoint-bounded windows it needs — peak
 memory proportional to the slice, not the region.  Configurations the
-reexec engine does not cover (sharded builds, exclusion pinballs, the
-legacy engine, programs the selective decoder rejects) fall back to the
-materialized pipeline transparently, answering with identical bytes.
+reexec engine does not cover (sharded builds, exclusion pinballs,
+programs the selective decoder rejects) fall back to the materialized
+pipeline transparently, answering with identical bytes.
 """
 
 from __future__ import annotations
@@ -70,16 +70,19 @@ class FrozenSlicer:
 
 
 class SlicingSession:
-    """Owns the traced replay of one region pinball and serves slices."""
+    """Owns the traced replay of one region pinball and serves slices.
+
+    ``engine`` is validated by :func:`repro.config.engine`
+    (``"predecoded"`` is the only interpreter)."""
 
     def __init__(self, pinball: Pinball, program: Program,
                  options: Optional[SliceOptions] = None,
                  engine: Optional[str] = None,
                  shard_boundaries: Optional[Sequence[int]] = None) -> None:
+        config.engine(explicit=engine)
         self.pinball = pinball
         self.program = program
         self.options = options or SliceOptions()
-        self.engine = engine
         if self.options.obs:
             OBS.enable()
         #: Diagnostics of the region-sharded build (None while serial).
@@ -100,8 +103,7 @@ class SlicingSession:
             self.options.index == "reexec"
             and self.options.shards == 1
             and shard_boundaries is None
-            and not pinball.exclusions
-            and config.engine(explicit=engine) == "predecoded")
+            and not pinball.exclusions)
         # The phase timers live in the observability registry
         # (``slicing.trace`` / ``slicing.preprocess`` spans); a Span
         # measures whether or not the registry is enabled, so the public
@@ -110,8 +112,7 @@ class SlicingSession:
             with OBS.span("slicing.trace") as trace_span:
                 try:
                     self._reexec = ReexecIndex(pinball, program,
-                                               options=self.options,
-                                               engine=engine)
+                                               options=self.options)
                 except ValueError:
                     self._reexec = None
             self.trace_time = trace_span.elapsed
@@ -129,7 +130,7 @@ class SlicingSession:
                     from repro.slicing.shard import ShardPlan, trace_sharded
                     self.shard_plan = ShardPlan(self.options.shards, [])
                     sharded = trace_sharded(
-                        pinball, program, self.options, engine=engine,
+                        pinball, program, self.options,
                         boundaries=shard_boundaries, plan_out=self.shard_plan)
                 if sharded is not None:
                     self._collector, self.machine, self.replay_result = \
@@ -138,7 +139,7 @@ class SlicingSession:
                     self._collector = TraceCollector(program, self.options)
                     self.machine, self.replay_result = replay(
                         pinball, program, tools=[self._collector],
-                        verify=False, engine=engine)
+                        verify=False)
             self.trace_time = trace_span.elapsed
 
             with OBS.span("slicing.preprocess") as prep_span:
@@ -163,8 +164,8 @@ class SlicingSession:
     @classmethod
     def from_frozen_index(cls, pinball: Pinball, program: Program,
                           frozen: FrozenIndex,
-                          options: Optional[SliceOptions] = None,
-                          engine: Optional[str] = None) -> "SlicingSession":
+                          options: Optional[SliceOptions] = None
+                          ) -> "SlicingSession":
         """Warm-start a session from a cache-loaded dependence index.
 
         Skips replay, tracing and the index build entirely: slice
@@ -179,7 +180,6 @@ class SlicingSession:
         session.pinball = pinball
         session.program = program
         session.options = options or SliceOptions()
-        session.engine = engine
         if session.options.obs:
             OBS.enable()
         session.shard_plan = None
@@ -222,7 +222,7 @@ class SlicingSession:
             collector = TraceCollector(self.program, self.options)
             self.machine, self.replay_result = replay(
                 self.pinball, self.program, tools=[collector],
-                verify=False, engine=self.engine)
+                verify=False)
         with OBS.span("slicing.preprocess"):
             self._gtrace = merge_traces(
                 collector.store, self.pinball.mem_order)
@@ -250,7 +250,7 @@ class SlicingSession:
     def _indexes(self) -> tuple:
         """(line_best, line_tid_best, write_best, write_tid_best, reads)
         reverse indexes, built once per session directly from the trace
-        columns (or records, for the row store)."""
+        columns."""
         if self._criterion_index is not None:
             return self._criterion_index
         line_best: Dict[int, Tuple[int, Instance]] = {}
@@ -258,27 +258,13 @@ class SlicingSession:
         write_best: Dict[int, Tuple[int, Instance]] = {}
         write_tid_best: Dict[Tuple[int, int], Tuple[int, Instance]] = {}
         reads: List[Tuple[int, Instance]] = []
-        store = self.collector.store
-        columns = getattr(store, "_columns", None)
-        if columns is not None:
-            rows_of = ((tid, cols.statics, cols.dyns, cols.gpos)
-                       for tid, cols in columns.items())
-            for tid, statics, dyns, gpos_col in rows_of:
-                for tindex in range(len(statics)):
-                    gpos = gpos_col[tindex]
-                    inst = (tid, tindex)
-                    line = statics[tindex][1]
-                    mdefs, muses = dyns[tindex][0], dyns[tindex][1]
-                    self._index_row(line_best, line_tid_best, write_best,
-                                    write_tid_best, reads, tid, inst, gpos,
-                                    line, mdefs, muses)
-        else:
-            for tid, records in store.by_thread.items():
-                for record in records:
-                    self._index_row(line_best, line_tid_best, write_best,
-                                    write_tid_best, reads, tid,
-                                    record.instance, record.gpos,
-                                    record.line, record.mdefs, record.muses)
+        for tid, cols in self.collector.store._columns.items():
+            statics, dyns, gpos_col = cols.statics, cols.dyns, cols.gpos
+            for tindex in range(len(statics)):
+                self._index_row(line_best, line_tid_best, write_best,
+                                write_tid_best, reads, tid, (tid, tindex),
+                                gpos_col[tindex], statics[tindex][1],
+                                dyns[tindex][0], dyns[tindex][1])
         reads.sort()
         self._criterion_index = (line_best, line_tid_best, write_best,
                                  write_tid_best, reads)
@@ -384,12 +370,9 @@ class SlicingSession:
             OBS.observe("slicing.slice_nodes", len(result.nodes))
         return result
 
-    def slice_for_global(self, global_name: Optional[str] = None,
+    def slice_for_global(self, global_name: str,
                          instance: Optional[Instance] = None,
-                         tid: Optional[int] = None, *,
-                         name: Optional[str] = None,
-                         criterion: Optional[Instance] = None
-                         ) -> DynamicSlice:
+                         tid: Optional[int] = None) -> DynamicSlice:
         """Slice for the value of global ``global_name`` as of
         ``instance`` (default: the last write to it, optionally
         restricted to thread ``tid``).
@@ -397,17 +380,8 @@ class SlicingSession:
         Uses the unified entry-point vocabulary (``global_name=``,
         ``instance=``, ``tid=``) shared with
         :meth:`~repro.debugger.session.DrDebugSession.slice_for_variable`
-        and the serve ``slice`` verb; the pre-unification spellings
-        ``name=`` / ``criterion=`` still work but warn.
+        and the serve ``slice`` verb.
         """
-        from repro.deprecation import deprecated_kwarg
-        global_name = deprecated_kwarg("name", name,
-                                       "global_name", global_name)
-        instance = deprecated_kwarg("criterion", criterion,
-                                    "instance", instance)
-        if global_name is None:
-            raise TypeError("slice_for_global() missing the 'global_name' "
-                            "argument")
         if instance is None:
             instance = self.last_write_to_global(global_name, tid)
         return self.slice_for(instance, [self.global_location(global_name)])
@@ -416,8 +390,7 @@ class SlicingSession:
 
     def make_slice_pinball(self, dslice: DynamicSlice) -> Pinball:
         """Run the relogger to produce the slice pinball for ``dslice``."""
-        return relog(self.pinball, self.program, dslice.to_keep(),
-                     engine=self.engine)
+        return relog(self.pinball, self.program, dslice.to_keep())
 
     # -- reporting ----------------------------------------------------------------------
 

@@ -13,8 +13,8 @@ traversal touching only the slice itself:
   Section 5.2 save/restore bypass *at build time*: a data dependence that
   would land on a verified restore is redirected (transitively) to the
   definition reaching the matching save, so spurious save/restore chains
-  never enter the graph.  For a columnar trace store the pass runs
-  directly on the interned columns — no ``TraceRecord`` is materialized.
+  never enter the graph.  The pass runs directly on the interned trace
+  columns — no ``TraceRecord`` is materialized.
   The pass is structured as ``SliceOptions.shards`` *fragments* —
   contiguous gpos windows appended to the same CSR columns while the
   live def maps (per-location last-def tables, the control-dep frontier
@@ -141,17 +141,10 @@ class DependenceIndex:
         order = self.gtrace.order
         store = self.gtrace.store
         total = len(order)
-        columnar = getattr(order, "instance_at", None) is not None
-        self._columnar = columnar
-        if columnar:
-            tids = order._tids
-            tindexes = order._tindexes
-            columns = store._columns
-            self._columns = columns
-        else:
-            tids = [record.tid for record in order]
-            tindexes = [record.tindex for record in order]
-            self._columns = None
+        tids = order._tids
+        tindexes = order._tindexes
+        columns = store._columns
+        self._columns = columns
         self._tids = tids
         self._tindexes = tindexes
 
@@ -194,13 +187,12 @@ class DependenceIndex:
         #: Register "plans": per distinct instruction per thread, the
         #: (use (locid, def-list) pairs, def def-lists) — def-position
         #: lists are bound directly so the hot loop never re-indexes
-        #: ``def_positions``.  Columnar statics tuples are owned by the
-        #: store for its whole lifetime, so ``id(static)`` is a stable,
+        #: ``def_positions``.  Statics tuples are owned by the store for
+        #: its whole lifetime, so ``id(static)`` is a stable,
         #: hash-cheap key; one plan dict per thread (the merged order
         #: clusters per-thread runs, so the per-tid locals below rarely
         #: need refreshing).
         plans_by_tid: Dict[int, dict] = {}
-        row_plans: Dict[tuple, Tuple[tuple, tuple]] = {}
 
         def reg_plan(tid, ruses, rdefs):
             pairs = []
@@ -248,30 +240,21 @@ class DependenceIndex:
             for g in range(lo, hi):
                 tid = tids[g]
                 tindex = tindexes[g]
-                if columnar:
-                    if tid != last_tid:
-                        cols = columns[tid]
-                        statics_col = cols.statics
-                        dyns_col = cols.dyns
-                        plan_map = plans_by_tid.get(tid)
-                        if plan_map is None:
-                            plan_map = plans_by_tid[tid] = {}
-                        last_tid = tid
-                    static = statics_col[tindex]
-                    mdefs, muses, cd, _values = dyns_col[tindex]
-                    sid = id(static)
-                    plan = plan_map.get(sid)
-                    if plan is None:
-                        plan = plan_map[sid] = reg_plan(
-                            tid, static[4], static[3])
-                else:
-                    record = order[g]
-                    mdefs, muses, cd = record.mdefs, record.muses, record.cd
-                    plan_key = (tid, record.ruses, record.rdefs)
-                    plan = row_plans.get(plan_key)
-                    if plan is None:
-                        plan = row_plans[plan_key] = reg_plan(
-                            tid, record.ruses, record.rdefs)
+                if tid != last_tid:
+                    cols = columns[tid]
+                    statics_col = cols.statics
+                    dyns_col = cols.dyns
+                    plan_map = plans_by_tid.get(tid)
+                    if plan_map is None:
+                        plan_map = plans_by_tid[tid] = {}
+                    last_tid = tid
+                static = statics_col[tindex]
+                mdefs, muses, cd, _values = dyns_col[tindex]
+                sid = id(static)
+                plan = plan_map.get(sid)
+                if plan is None:
+                    plan = plan_map[sid] = reg_plan(
+                        tid, static[4], static[3])
                 use_pairs, def_dps = plan
 
                 missing = None
@@ -315,11 +298,7 @@ class DependenceIndex:
                     kinds.append(EDGE_DATA)
                     elocs.append(locid)
                 if cd is not None:
-                    if columnar:
-                        cd_gpos = columns[cd[0]].gpos[cd[1]]
-                    else:
-                        cd_gpos = store.get(cd).gpos
-                    preds.append(cd_gpos)
+                    preds.append(columns[cd[0]].gpos[cd[1]])
                     kinds.append(EDGE_CONTROL)
                     elocs.append(-1)
                 if missing is not None:
@@ -447,8 +426,6 @@ class DependenceIndex:
         nodes: Dict[Instance, SliceNode] = {}
         edges: List[Tuple[Instance, Instance, str, Optional[tuple]]] = []
         details = self._detail_cache
-        columnar = self._columnar
-        store_get = None if columnar else self.gtrace.store.get
         last_tid = None
         statics_col = dyns_col = None
         for g in sorted(members):
@@ -457,22 +434,17 @@ class DependenceIndex:
                 tid = tids[g]
                 tindex = tindexes[g]
                 inst = (tid, tindex)
-                if columnar:
-                    # Members arrive gpos-sorted, i.e. clustered into
-                    # per-thread runs — refresh the column locals only on
-                    # run boundaries.
-                    if tid != last_tid:
-                        cols = self._columns[tid]
-                        statics_col = cols.statics
-                        dyns_col = cols.dyns
-                        last_tid = tid
-                    addr, line, func, _rdefs, _ruses = statics_col[tindex]
-                    node = SliceNode(tid, tindex, addr, line, func,
-                                     dyns_col[tindex][3])
-                else:
-                    record = store_get(inst)
-                    node = SliceNode(tid, tindex, record.addr, record.line,
-                                     record.func, record.values)
+                # Members arrive gpos-sorted, i.e. clustered into
+                # per-thread runs — refresh the column locals only on
+                # run boundaries.
+                if tid != last_tid:
+                    cols = self._columns[tid]
+                    statics_col = cols.statics
+                    dyns_col = cols.dyns
+                    last_tid = tid
+                addr, line, func, _rdefs, _ruses = statics_col[tindex]
+                node = SliceNode(tid, tindex, addr, line, func,
+                                 dyns_col[tindex][3])
                 rows = []
                 for e in range(indptr[g], indptr[g + 1]):
                     p = preds[e]

@@ -41,7 +41,7 @@ mirroring the pinball container's diagnostics contract.
 :class:`~repro.slicing.options.SliceOptions` fields that change the
 *built graph* (refinement, pruning, MaxSave, stack-pointer tracking,
 recorded values).  Engine-selection and build-strategy fields
-(``index``, ``shards``, ``columnar``, ``block_size``, cache sizes,
+(``index``, ``shards``, ``block_size``, cache sizes,
 ``obs``) are deliberately excluded: a sharded build is byte-identical
 to a serial one, so every configuration that would produce the same
 graph shares one cache entry.
@@ -119,25 +119,18 @@ def serialize_index(index: DependenceIndex, fingerprint: str) -> bytes:
     values_col: List[Optional[list]] = [None] * total
     reads = array("q")
 
-    columnar = index._columnar
-    store = None if columnar else index.gtrace.store
     last_tid = None
     statics_col = dyns_col = None
     for g in range(total):
         tid = tids[g]
         tindex = tindexes[g]
-        if columnar:
-            if tid != last_tid:
-                cols = index._columns[tid]
-                statics_col = cols.statics
-                dyns_col = cols.dyns
-                last_tid = tid
-            addr, line, func, _rdefs, _ruses = statics_col[tindex]
-            _mdefs, muses, _cd, values = dyns_col[tindex]
-        else:
-            record = store.get((tid, tindex))
-            addr, line, func = record.addr, record.line, record.func
-            muses, values = record.muses, record.values
+        if tid != last_tid:
+            cols = index._columns[tid]
+            statics_col = cols.statics
+            dyns_col = cols.dyns
+            last_tid = tid
+        addr, line, func, _rdefs, _ruses = statics_col[tindex]
+        _mdefs, muses, _cd, values = dyns_col[tindex]
         addrs[g] = addr
         lines[g] = -1 if line is None else line
         fid = func_ids.get(func)
@@ -403,7 +396,6 @@ class FrozenIndex(DependenceIndex):
         # statics/dyns shims the query path reads are materialized
         # lazily on first access (see the ``_columns`` property), so a
         # warm open costs O(sections), not O(nodes).
-        self._columnar = True
         self._addrs_col = addrs
         self._funcs_col = funcs
         self._func_table = func_table

@@ -12,18 +12,19 @@ unsatisfied cross-thread dependency, then rotates — the locality heuristic
 the paper describes for the LP algorithm ("we always try to cluster traces
 for each thread to the extent possible").
 
-For a :class:`~repro.slicing.trace.ColumnarTraceStore` the merge runs
-entirely on (tid, tindex) indices and a per-thread ``gpos`` column — no
-:class:`~repro.slicing.trace.TraceRecord` is materialized.  The resulting
-``GlobalTrace.order`` is then a lazy sequence view that materializes (and
-caches, via the store) only the records a consumer actually touches.
+The merge runs entirely on (tid, tindex) indices and the
+:class:`~repro.slicing.trace.ColumnarTraceStore`'s per-thread ``gpos``
+column — no :class:`~repro.slicing.trace.TraceRecord` is materialized.
+The resulting ``GlobalTrace.order`` is then a lazy sequence view that
+materializes (and caches, via the store) only the records a consumer
+actually touches.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Dict, List, Sequence, Tuple
 
-from repro.slicing.trace import ColumnarTraceStore, TraceRecord, TraceStore
+from repro.slicing.trace import ColumnarTraceStore, TraceRecord
 
 Edge = Tuple[int, int, int, int, int, str]
 
@@ -84,14 +85,11 @@ class LazyOrderView:
             yield self[index]
 
 
-OrderSeq = Union[List[TraceRecord], LazyOrderView]
-
-
 class GlobalTrace:
     """The merged total order, with per-record global positions filled in."""
 
-    def __init__(self, order: OrderSeq,
-                 store: Union[TraceStore, ColumnarTraceStore]) -> None:
+    def __init__(self, order: LazyOrderView,
+                 store: ColumnarTraceStore) -> None:
         self.order = order
         self.store = store
 
@@ -105,12 +103,9 @@ class GlobalTrace:
         return self.store.get(instance)
 
     def gpos_of(self, instance: Tuple[int, int]) -> int:
-        """Global position of ``instance`` — O(1) column read for columnar
-        stores (no record materialization), record lookup otherwise."""
-        fast = getattr(self.store, "gpos_of", None)
-        if fast is not None:
-            return fast(instance[0], instance[1])
-        return self.store.get(instance).gpos
+        """Global position of ``instance`` — an O(1) column read, no
+        record materialization."""
+        return self.store.gpos_of(instance[0], instance[1])
 
     def verify_topological(self, edges: Sequence[Edge]) -> bool:
         """Check the order honors program order and every edge (for tests)."""
@@ -139,53 +134,13 @@ def _build_incoming(edges: Sequence[Edge]) -> Dict[Tuple[int, int],
     return incoming
 
 
-def merge_traces(store: Union[TraceStore, ColumnarTraceStore],
+def merge_traces(store: ColumnarTraceStore,
                  edges: Sequence[Edge]) -> GlobalTrace:
     """Topologically merge per-thread traces honoring ``edges``.
 
     Each edge ``(from_tid, from_tindex, to_tid, to_tindex, addr, kind)``
     constrains the *from* instance to precede the *to* instance.
     """
-    if isinstance(store, ColumnarTraceStore):
-        return _merge_columnar(store, edges)
-    incoming = _build_incoming(edges)
-
-    tids = store.threads()
-    cursor: Dict[int, int] = {tid: 0 for tid in tids}
-    lengths: Dict[int, int] = {tid: store.thread_length(tid) for tid in tids}
-    total = sum(lengths.values())
-    order: List[TraceRecord] = []
-    current = 0
-    stalled = 0
-    while len(order) < total:
-        tid = tids[current]
-        emitted_here = 0
-        while cursor[tid] < lengths[tid]:
-            deps = incoming.get((tid, cursor[tid]))
-            if deps is not None and any(
-                    cursor[from_tid] <= from_tindex
-                    for from_tid, from_tindex in deps):
-                break
-            record = store.by_thread[tid][cursor[tid]]
-            record.gpos = len(order)
-            order.append(record)
-            cursor[tid] += 1
-            emitted_here += 1
-        if emitted_here:
-            stalled = 0
-        else:
-            stalled += 1
-            if stalled >= len(tids):
-                raise GlobalTraceError(
-                    "access-order edges form a cycle; remaining cursors: %r"
-                    % cursor)
-        current = (current + 1) % len(tids)
-    return GlobalTrace(order, store)
-
-
-def _merge_columnar(store: ColumnarTraceStore,
-                    edges: Sequence[Edge]) -> GlobalTrace:
-    """Index-only merge: identical emission order, zero materialization."""
     incoming = _build_incoming(edges)
 
     tids = store.threads()

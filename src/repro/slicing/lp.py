@@ -10,9 +10,10 @@ slicing practical (the paper adopted this algorithm for the same reason).
 
 from __future__ import annotations
 
-from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import List, Set, Tuple
 
-from repro.slicing.trace import Location, TraceRecord
+from repro.slicing.global_trace import LazyOrderView
+from repro.slicing.trace import Location
 
 
 class TraceBlock:
@@ -37,46 +38,26 @@ class TraceBlock:
             self.start, self.end, len(self.defs))
 
 
-def build_blocks(order: Sequence[TraceRecord],
+def build_blocks(order: LazyOrderView,
                  block_size: int) -> List[TraceBlock]:
     """Partition the global trace into blocks with def-set summaries.
 
-    For a lazy columnar order view the summaries are computed straight
-    from the store's interned def columns — no record materialization.
+    The summaries are computed straight from the store's interned def
+    columns — no record materialization.
     """
     return build_blocks_with_defs(order, block_size)[0]
 
 
 def build_blocks_with_defs(
-        order: Sequence[TraceRecord], block_size: int,
-        force_rows: bool = False
-) -> Tuple[List[TraceBlock], Optional[List[tuple]]]:
+        order: LazyOrderView, block_size: int
+) -> Tuple[List[TraceBlock], List[tuple]]:
     """Like :func:`build_blocks`, also returning the per-position interned
-    def-location tuples for columnar orders (``None`` for record lists).
+    def-location tuples.
 
     The slicer's backward scan uses the flat def-locs list to test each
     scanned position against the wanted set without materializing the
     record — records are only built for positions that actually match.
-
-    With ``force_rows`` a lazy columnar order is summarized through its
-    materialized record views instead — the ``index="rows"`` baseline,
-    which exercises the seed record-at-a-time scan on any store layout.
     """
-    if not force_rows and getattr(order, "instance_at", None) is not None:
-        return _build_blocks_columnar(order, block_size)
-    blocks: List[TraceBlock] = []
-    for start in range(0, len(order), block_size):
-        end = min(start + block_size, len(order))
-        defs: Set[Location] = set()
-        for position in range(start, end):
-            record = order[position]
-            for location in record.def_locations():
-                defs.add(location)
-        blocks.append(TraceBlock(start, end, defs))
-    return blocks, None
-
-
-def _build_blocks_columnar(order, block_size: int):
     store = order._store
     def_locations_at = store.def_locations_at
     tids = order._tids

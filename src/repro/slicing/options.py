@@ -17,11 +17,8 @@ Every ablation benchmark flips one of these:
   tracked precisely through memory addresses, and threading every push/pop
   through ``sp`` would chain all stack operations together (the same
   engineering choice practical binary slicers make).
-* ``columnar`` — trace storage layout.  On (default): the interned
-  columnar store with lazy record views (the predecoded engine's hot
-  path).  Off: the seed record-per-row layout, kept as the perf
-  benchmark's measured baseline and the differential tests' reference.
-* ``index`` — the slice-query engine:
+* ``index`` — the slice-query engine (every engine reads the one trace
+  layout, the interned columnar store of :mod:`repro.slicing.trace`):
 
   - ``"ddg"`` (default): one pass over the trace compiles every
     data/control/save-restore dependence into a CSR dynamic dependence
@@ -29,11 +26,9 @@ Every ablation benchmark flips one of these:
     graph traversal with memoized reachability fragments and an LRU of
     complete slices — the build-once/query-many engine for cyclic
     debugging.
-  - ``"columnar"``: the per-query backward scan over the interned
-    columns with LP block skipping (falls back to the record scan when
-    the trace store is row-based).
-  - ``"rows"``: the seed record-at-a-time backward scan, kept as the
-    differential tests' reference and the benchmark baseline.
+  - ``"columnar"``: the paper's per-query LP backward scan over the
+    interned columns with block skipping — the LP-ablation subject and
+    the differential reference for ``"ddg"``.
   - ``"reexec"``: on-demand re-execution slicing — no full trace is
     collected at all.  One *selective-mode* scaffold replay (a fourth
     micro-op table: near-untraced speed, recording only per-thread pc
@@ -79,7 +74,7 @@ from dataclasses import dataclass, field
 from repro import config
 
 #: The recognised slice-query engines (see the module docstring).
-SLICE_INDEXES = ("ddg", "columnar", "rows", "reexec")
+SLICE_INDEXES = ("ddg", "columnar", "reexec")
 
 
 def _default_index() -> str:
@@ -106,7 +101,6 @@ class SliceOptions:
     block_size: int = 1024
     track_stack_pointer: bool = False
     record_values: bool = True
-    columnar: bool = True
     index: str = field(default_factory=_default_index)
     shards: int = field(default_factory=_default_shards)
     slice_cache_size: int = 128

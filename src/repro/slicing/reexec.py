@@ -1,6 +1,6 @@
 """On-demand re-execution slicing: the ``index="reexec"`` engine.
 
-The materialized engines (``ddg`` / ``columnar`` / ``rows``) pay one traced
+The materialized engines (``ddg`` / ``columnar``) pay one traced
 replay that records *every* retired instruction's operands, then keep the
 whole trace resident for the session.  For long regions the trace — not
 the slice — dominates peak memory.  This module answers the same queries
@@ -350,24 +350,19 @@ class ReexecIndex:
     (``slice()`` / ``index_stats()``) plus the criterion helpers
     :class:`~repro.slicing.api.SlicingSession` delegates.  Construction
     raises :class:`ValueError` when the program cannot be selectively
-    decoded (or the pinball/engine combination is unsupported); the
-    session then falls back to the materialized pipeline.
+    decoded (or the pinball is a slice pinball); the session then falls
+    back to the materialized pipeline.
     """
 
     def __init__(self, pinball: Pinball, program: Program,
-                 options: Optional[SliceOptions] = None,
-                 engine: Optional[str] = None) -> None:
+                 options: Optional[SliceOptions] = None) -> None:
         if pinball.exclusions:
             raise ValueError(
                 "reexec slicing does not support exclusion (slice) "
                 "pinballs")
-        if config.engine(explicit=engine) != "predecoded":
-            raise ValueError(
-                "reexec slicing requires the predecoded engine")
         self.pinball = pinball
         self.program = program
         self.options = options or SliceOptions()
-        self.engine = engine
         # Selective tables (ValueError propagates to the session's
         # fallback for undecodable programs).
         self._sink = _ScaffoldSink(program, self.options)
@@ -424,8 +419,7 @@ class ReexecIndex:
         injector = SyscallInjector(pinball.syscalls)
         machine = Machine.from_snapshot(
             self.program, MachineSnapshot.from_dict(pinball.snapshot),
-            scheduler=scheduler, syscall_injector=injector.inject,
-            engine=self.engine)
+            scheduler=scheduler, syscall_injector=injector.inject)
         return machine, injector
 
     def _resume(self, window: int) -> Machine:
@@ -434,7 +428,7 @@ class ReexecIndex:
             machine, _injector = self._fresh_machine()
             return machine
         machine, _injector = resume_machine(
-            self.pinball, self.program, handle, engine=self.engine)
+            self.pinball, self.program, handle)
         return machine
 
     # -- scaffold ----------------------------------------------------------
@@ -566,7 +560,7 @@ class ReexecIndex:
         self._prepared = True
 
     def _merge(self) -> None:
-        """Replicates :func:`~repro.slicing.global_trace._merge_columnar`
+        """Replicates :func:`~repro.slicing.global_trace.merge_traces`
         over the scaffold's pc streams — identical emission order, so
         every gpos here equals the materialized pipeline's gpos."""
         pcs = self._pcs

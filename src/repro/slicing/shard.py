@@ -9,8 +9,8 @@ cut point, and the machine state at the cut — captured exactly the way
 pinball snapshot.  This module exploits that:
 
 1. **Scout** — one *untraced* replay of the region pinball (the
-   predecoded engine's fast path, no events, several times faster than
-   traced replay) that stops at ``K - 1`` planned step boundaries and
+   micro-op fast path, no events, several times faster than traced
+   replay) that stops at ``K - 1`` planned step boundaries and
    captures, per boundary: the architectural snapshot, the syscall-log
    consumption cursors, the step clock (``global_seq``) and each
    thread's retired-instruction count.
@@ -63,12 +63,11 @@ and the same slices (``tests/slicing/test_shard_differential.py``).
 Sharding changes *when* work happens, never the result.
 
 Fallback gates (:func:`trace_sharded` returns ``None`` and the session
-runs the serial pipeline): ``shards <= 1``, row-store layout
-(``columnar=False``), ``record_values=False`` (the stitch rebuilds
-save/restore events from recorded values), slice pinballs with
-exclusions, regions too small to be worth the process overhead, daemonic
-parents (a serve worker spawned with ``daemon=True`` cannot fork
-children), and any worker-pool failure mid-flight.
+runs the serial pipeline): ``shards <= 1``, ``record_values=False``
+(the stitch rebuilds save/restore events from recorded values), slice
+pinballs with exclusions, regions too small to be worth the process
+overhead, daemonic parents (a serve worker spawned with ``daemon=True``
+cannot fork children), and any worker-pool failure mid-flight.
 """
 
 from __future__ import annotations
@@ -200,7 +199,7 @@ class WindowTracer(Tool):
         (tid, addr, rdefs, ruses, mdefs, muses, values, frame_id, extra)
 
     ``rdefs``/``ruses`` are the deduped, ``sp``-filtered register
-    def/use tuples exactly as :meth:`TraceCollector._append_columnar`
+    def/use tuples exactly as :meth:`TraceCollector._append`
     would intern them (cached per pc; the SYS ``r0`` def picked per
     event); ``values`` is the written-values map; ``extra`` carries the
     one execution-time fact the stitch cannot recompute statically —
@@ -292,12 +291,12 @@ class WindowTracer(Tool):
                           values, event.frame_id, extra))
 
 
-def _trace_window(raw: bytes, program: Program, options: SliceOptions,
-                  engine: Optional[str]) -> dict:
+def _trace_window(raw: bytes, program: Program,
+                  options: SliceOptions) -> dict:
     """Replay one window pinball with a :class:`WindowTracer` attached."""
     pinball = Pinball.from_bytes(raw, source="<region_shard>")
     tracer = WindowTracer(options)
-    machine = replay_machine(pinball, program, tools=[tracer], engine=engine)
+    machine = replay_machine(pinball, program, tools=[tracer])
     meta = pinball.meta
     # Two counters live outside the architectural snapshot and must be
     # seeded so window-relative replay looks exactly like the serial
@@ -492,13 +491,11 @@ def _encode_columns(store) -> dict:
 
 
 def _trace_window_columns(raw: bytes, program: Program,
-                          options: SliceOptions,
-                          engine: Optional[str]) -> dict:
+                          options: SliceOptions) -> dict:
     """Replay one window with a full seam-aware collector attached."""
     pinball = Pinball.from_bytes(raw, source="<region_shard>")
     collector = _WindowCollector(program, options)
-    machine = replay_machine(pinball, program, tools=[collector],
-                             engine=engine)
+    machine = replay_machine(pinball, program, tools=[collector])
     meta = pinball.meta
     machine.global_seq = int(meta.get("global_seq", 0))
     for tid_text, count in (meta.get("base_instr_counts") or {}).items():
@@ -543,7 +540,6 @@ def _shard_worker_main(worker_id: int, task_q, result_q,
         OBS.enable()
     program = config["program"]
     options = config["slice_options"] or SliceOptions()
-    engine = config.get("engine")
     while True:
         item = task_q.get()
         if item is None:
@@ -555,11 +551,11 @@ def _shard_worker_main(worker_id: int, task_q, result_q,
             elif op == "trace_window":
                 with OBS.span("shard.window"):
                     result = _trace_window(params["pinball_raw"], program,
-                                           options, engine)
+                                           options)
             elif op == "trace_window_columns":
                 with OBS.span("shard.window"):
                     result = _trace_window_columns(
-                        params["pinball_raw"], program, options, engine)
+                        params["pinball_raw"], program, options)
             else:
                 raise ValueError("unknown shard worker op %r" % op)
         except BaseException as exc:   # noqa: BLE001 — wire it back
@@ -586,8 +582,7 @@ class _Boundary:
         self.instr_counts = instr_counts
 
 
-def _scout_machine(pinball: Pinball, program: Program,
-                   engine: Optional[str]
+def _scout_machine(pinball: Pinball, program: Program
                    ) -> Tuple[Machine, SyscallInjector]:
     """An untraced replay machine with its injector exposed.
 
@@ -599,7 +594,7 @@ def _scout_machine(pinball: Pinball, program: Program,
     injector = SyscallInjector(pinball.syscalls)
     machine = Machine.from_snapshot(
         program, MachineSnapshot.from_dict(pinball.snapshot),
-        scheduler=scheduler, syscall_injector=injector.inject, engine=engine)
+        scheduler=scheduler, syscall_injector=injector.inject)
     return machine, injector
 
 
@@ -874,7 +869,6 @@ def _fallback(plan: ShardPlan, reason: str) -> None:
 
 def trace_sharded(pinball: Pinball, program: Program,
                   options: SliceOptions,
-                  engine: Optional[str] = None,
                   boundaries: Optional[Sequence[int]] = None,
                   plan_out: Optional[ShardPlan] = None
                   ) -> Optional[Tuple[TraceCollector, Machine, RunResult]]:
@@ -898,9 +892,6 @@ def trace_sharded(pinball: Pinball, program: Program,
 
     if shards <= 1 and boundaries is None:
         _fallback(plan, "shards<=1")
-        return None
-    if not options.columnar:
-        _fallback(plan, "row-store layout")
         return None
     if not options.record_values:
         _fallback(plan, "record_values=False")
@@ -950,7 +941,7 @@ def trace_sharded(pinball: Pinball, program: Program,
         obs=OBS.enabled,
         slice_options=options,
         worker_target=_shard_worker_main,
-        worker_config={"program": program, "engine": engine},
+        worker_config={"program": program},
         name="shard",
     )
 
@@ -987,12 +978,12 @@ def trace_sharded(pinball: Pinball, program: Program,
             checkpoint = best_checkpoint(pinball, bounds[0])
             if checkpoint is not None and checkpoint.steps_done > 0:
                 machine, injector = resume_machine(
-                    pinball, program, checkpoint, engine=engine)
+                    pinball, program, checkpoint)
                 done = checkpoint.steps_done
                 retired = sum(checkpoint.body()["instr_counts"].values())
                 OBS.add("slicing.scout_checkpoint_resumes", 1)
             else:
-                machine, injector = _scout_machine(pinball, program, engine)
+                machine, injector = _scout_machine(pinball, program)
                 done = retired = 0
             steps = done
             reason = "limit"

@@ -7,8 +7,8 @@ selects the engine:
   :mod:`repro.slicing.ddg`: one pass compiles every dependence edge, then
   each query is a memoized graph traversal touching only the slice.  The
   engine is built lazily on the first query.
-* ``"columnar"`` / ``"rows"`` — the per-query backward scans described
-  below, kept as baselines (and as the differential tests' references).
+* ``"columnar"`` — the per-query LP backward scan described below, kept
+  as the baseline (and as the differential tests' reference).
 
 One backward scan from the criterion position resolves data dependences:
 the *wanted* map holds, per location, the consumers still looking for their
@@ -34,7 +34,7 @@ from repro.slicing.global_trace import GlobalTrace
 from repro.slicing.lp import TraceBlock, build_blocks_with_defs
 from repro.slicing.options import SliceOptions
 from repro.slicing.slice import DynamicSlice, SliceNode
-from repro.slicing.trace import Instance, Location, TraceRecord
+from repro.slicing.trace import Instance, Location
 
 
 class BackwardSlicer:
@@ -51,7 +51,7 @@ class BackwardSlicer:
         if self.index in ("ddg", "reexec"):
             # "reexec" here means a reexec session fell back to the
             # materialized pipeline (sharded build, exclusion pinball,
-            # legacy engine, undecodable program); the ddg engine answers
+            # undecodable program); the ddg engine answers
             # with identical bytes, so the fallback is transparent.
             # The DDG engine builds its own flat edge columns (lazily, on
             # the first query); the LP block summaries are scan-only.
@@ -59,13 +59,10 @@ class BackwardSlicer:
             self._def_locs = None
         else:
             #: ``_def_locs[gpos]`` — interned def-location tuple per
-            #: position for columnar stores (None for record-list orders):
-            #: lets the backward scan test a position against the wanted
-            #: set without materializing its record.  ``index="rows"``
-            #: forces the record path even on a columnar store.
+            #: position: lets the backward scan test a position against
+            #: the wanted set without materializing its record.
             self.blocks, self._def_locs = build_blocks_with_defs(
-                gtrace.order, self.options.block_size,
-                force_rows=(self.index == "rows"))
+                gtrace.order, self.options.block_size)
         #: save-instance -> gpos memo for the save/restore bypass: the
         #: same save is typically bypassed many times per slice, and its
         #: global position never changes once the trace is merged.
@@ -131,66 +128,38 @@ class BackwardSlicer:
         # location -> list of (before_gpos, consumer_instance)
         wanted: Dict[Location, List[Tuple[int, Instance]]] = {}
 
-        if self._def_locs is not None:
-            # Columnar store: the whole node-expansion loop runs on the
-            # parallel columns — no TraceRecord is materialized for slice
-            # membership, only the criterion record above.
-            store = self.gtrace.store
-            columns = store._columns
-            locations_for = store.locations_for
+        # The whole node-expansion loop runs on the parallel columns — no
+        # TraceRecord is materialized for slice membership, only the
+        # criterion record above.
+        store = self.gtrace.store
+        columns = store._columns
+        locations_for = store.locations_for
 
-            def add_node(inst: Instance) -> None:
-                """Insert an instance and chain its control parents."""
-                stack = [inst]
-                while stack:
-                    inst = stack.pop()
-                    if inst in nodes:
-                        continue
-                    tid, tindex = inst
-                    cols = columns[tid]
-                    addr, line, func, _rdefs, ruses = cols.statics[tindex]
-                    _mdefs, muses, cd, values = cols.dyns[tindex]
-                    nodes[inst] = SliceNode(tid, tindex, addr, line, func,
-                                            values)
-                    gpos = cols.gpos[tindex]
-                    for loc in locations_for(tid, ruses, muses):
-                        entries = wanted.get(loc)
-                        if entries is None:
-                            wanted[loc] = [(gpos, inst)]
-                        else:
-                            entries.append((gpos, inst))
-                    if cd is not None:
-                        edges.append((inst, cd, "control", None))
-                        stack.append(cd)
+        def add_node(inst: Instance) -> None:
+            """Insert an instance and chain its control parents."""
+            stack = [inst]
+            while stack:
+                inst = stack.pop()
+                if inst in nodes:
+                    continue
+                tid, tindex = inst
+                cols = columns[tid]
+                addr, line, func, _rdefs, ruses = cols.statics[tindex]
+                _mdefs, muses, cd, values = cols.dyns[tindex]
+                nodes[inst] = SliceNode(tid, tindex, addr, line, func,
+                                        values)
+                gpos = cols.gpos[tindex]
+                for loc in locations_for(tid, ruses, muses):
+                    entries = wanted.get(loc)
+                    if entries is None:
+                        wanted[loc] = [(gpos, inst)]
+                    else:
+                        entries.append((gpos, inst))
+                if cd is not None:
+                    edges.append((inst, cd, "control", None))
+                    stack.append(cd)
 
-            add_node(crit_rec._inst)
-        else:
-            record_of = self.gtrace.record_of
-
-            def add_node(record: TraceRecord) -> None:
-                """Insert a record and chain its control-dependence parents."""
-                stack = [record]
-                while stack:
-                    rec = stack.pop()
-                    inst = rec._inst
-                    if inst in nodes:
-                        continue
-                    nodes[inst] = SliceNode(
-                        rec.tid, rec.tindex, rec.addr, rec.line, rec.func,
-                        rec.values)
-                    gpos = rec.gpos
-                    for loc in rec.use_locations():
-                        entries = wanted.get(loc)
-                        if entries is None:
-                            wanted[loc] = [(gpos, inst)]
-                        else:
-                            entries.append((gpos, inst))
-                    cd = rec.cd
-                    if cd is not None:
-                        edges.append((inst, cd, "control", None))
-                        stack.append(record_of(cd))
-
-            add_node(crit_rec)
+        add_node(crit_rec._inst)
         if locations is not None:
             for loc in locations:
                 wanted.setdefault(tuple(loc), []).append(
@@ -215,6 +184,9 @@ class BackwardSlicer:
         order = self.gtrace.order
         prune = self.options.prune_save_restore and bool(self.restores)
         block_size = self.options.block_size
+        def_locs = self._def_locs
+        tids = order._tids
+        tindexes = order._tindexes
         start_block = start_pos // block_size if order else -1
         for block_index in range(min(start_block, len(self.blocks) - 1),
                                  -1, -1):
@@ -229,81 +201,32 @@ class BackwardSlicer:
                 continue
             stats["visited_blocks"] += 1
             hi = min(block.end - 1, start_pos)
-            def_locs = self._def_locs
-            if def_locs is not None:
-                # Columnar: test the interned def tuple against the wanted
-                # map first; on a hit, match on (tid, tindex) indices —
-                # no record is materialized anywhere in the scan.
-                tids = order._tids
-                tindexes = order._tindexes
-                scanned = 0
-                for position in range(hi, block.start - 1, -1):
-                    if not wanted:
+            # Test the interned def tuple against the wanted map first; on
+            # a hit, match on (tid, tindex) indices — no record is
+            # materialized anywhere in the scan.
+            scanned = 0
+            for position in range(hi, block.start - 1, -1):
+                if not wanted:
+                    break
+                scanned += 1
+                locs = def_locs[position]
+                for loc in locs:
+                    if loc in wanted:
+                        self._match_defs(
+                            locs, (tids[position], tindexes[position]),
+                            position, wanted, nodes, edges, add_node,
+                            stats, prune)
                         break
-                    scanned += 1
-                    locs = def_locs[position]
-                    for loc in locs:
-                        if loc in wanted:
-                            self._match_defs_columnar(
-                                locs, (tids[position], tindexes[position]),
-                                position, wanted, nodes, edges, add_node,
-                                stats, prune)
-                            break
-                stats["scanned_records"] += scanned
-            else:
-                for position in range(hi, block.start - 1, -1):
-                    if not wanted:
-                        break
-                    record = order[position]
-                    stats["scanned_records"] += 1
-                    self._match_defs(record, position, wanted, nodes, edges,
-                                     add_node, stats, prune)
+            stats["scanned_records"] += scanned
 
-    def _match_defs_columnar(self, def_locs: tuple, inst: Instance,
-                             position: int, wanted, nodes, edges, add_node,
-                             stats, prune: bool) -> None:
-        """Columnar twin of :meth:`_match_defs`: works on the interned def
-        tuple and the (tid, tindex) instance; ``add_node`` (the columnar
-        closure) takes instances, so nothing here touches a TraceRecord."""
+    def _match_defs(self, def_locs: tuple, inst: Instance, position: int,
+                    wanted, nodes, edges, add_node, stats,
+                    prune: bool) -> None:
+        """Resolve the wanted consumers that the instance ``inst`` at
+        ``position`` (defining ``def_locs``) is the reaching definition
+        for; works on interned tuples and (tid, tindex) instances, so
+        nothing here touches a TraceRecord."""
         for loc in def_locs:
-            entries = wanted.get(loc)
-            if not entries:
-                continue
-            matched = [entry for entry in entries if entry[0] > position]
-            if not matched:
-                continue
-            if len(matched) == len(entries):
-                remaining = []
-            else:
-                remaining = [entry for entry in entries
-                             if entry[0] <= position]
-            if prune and loc[0] == "r" and inst in self.restores:
-                save_instance = self.restores[inst]
-                save_gpos = self._save_gpos.get(save_instance)
-                if save_gpos is None:
-                    save_gpos = self.gtrace.record_of(save_instance).gpos
-                    self._save_gpos[save_instance] = save_gpos
-                redirected = [(save_gpos, consumer)
-                              for _before, consumer in matched]
-                stats["bypassed_deps"] += len(matched)
-                new_entries = remaining + redirected
-                if new_entries:
-                    wanted[loc] = new_entries
-                else:
-                    del wanted[loc]
-                continue
-            if remaining:
-                wanted[loc] = remaining
-            else:
-                del wanted[loc]
-            for _before, consumer in matched:
-                edges.append((consumer, inst, "data", loc))
-            if inst not in nodes:
-                add_node(inst)
-
-    def _match_defs(self, record: TraceRecord, position: int, wanted,
-                    nodes, edges, add_node, stats, prune: bool) -> None:
-        for loc in record.def_locations():
             entries = wanted.get(loc)
             if not entries:
                 continue
@@ -318,12 +241,11 @@ class BackwardSlicer:
             else:
                 remaining = [entry for entry in entries
                              if entry[0] <= position]
-            if (prune and loc[0] == "r"
-                    and record._inst in self.restores):
+            if prune and loc[0] == "r" and inst in self.restores:
                 # Verified restore: bypass it.  The consumers' reaching
                 # definition is whatever defined the register before the
                 # matching save — resume the search below the save.
-                save_instance = self.restores[record._inst]
+                save_instance = self.restores[inst]
                 save_gpos = self._save_gpos.get(save_instance)
                 if save_gpos is None:
                     save_gpos = self.gtrace.record_of(save_instance).gpos
@@ -345,8 +267,7 @@ class BackwardSlicer:
                 wanted[loc] = remaining
             else:
                 del wanted[loc]
-            inst = record._inst
             for _before, consumer in matched:
                 edges.append((consumer, inst, "data", loc))
             if inst not in nodes:
-                add_node(record)
+                add_node(inst)

@@ -8,17 +8,10 @@ information.  Locations are encoded as:
 * registers: ``("r", tid, name)`` — registers are per-thread state;
 * memory: ``("m", addr)`` — shared across threads.
 
-Two storage layouts exist:
-
-* :class:`TraceStore` — the original record-per-row layout: one
-  :class:`TraceRecord` object appended per retired instruction.
-* :class:`ColumnarTraceStore` — the hot-path layout used by the
-  predecoded engine's tracer: parallel per-thread columns with def/use
-  tuples *interned* (a thread executing the same pc twice shares one
-  tuple), and :class:`TraceRecord` objects materialized lazily, on first
-  access, as cached views over the columns.  Both layouts expose the same
-  API (``by_thread``, ``get``, lengths), so the slicer, the merger and
-  the precision analyses work on either unchanged.
+The store is :class:`ColumnarTraceStore`: parallel per-thread columns
+with def/use tuples *interned* (a thread executing the same pc twice
+shares one tuple), and :class:`TraceRecord` objects materialized lazily,
+on first access, as cached views over the columns.
 """
 
 from __future__ import annotations
@@ -82,34 +75,6 @@ class TraceRecord:
         return ("<TraceRecord %d:%d pc=%d line=%s defs=%s/%s uses=%s/%s>"
                 % (self.tid, self.tindex, self.addr, self.line,
                    self.rdefs, self.mdefs, self.ruses, self.muses))
-
-
-class TraceStore:
-    """Per-thread record lists, indexable by (tid, tindex)."""
-
-    def __init__(self) -> None:
-        self.by_thread: Dict[int, List[TraceRecord]] = {}
-
-    def append(self, record: TraceRecord) -> None:
-        self.by_thread.setdefault(record.tid, []).append(record)
-
-    def get(self, instance: Instance) -> TraceRecord:
-        tid, tindex = instance
-        return self.by_thread[tid][tindex]
-
-    def thread_length(self, tid: int) -> int:
-        return len(self.by_thread.get(tid, ()))
-
-    def total_records(self) -> int:
-        return sum(len(records) for records in self.by_thread.values())
-
-    def threads(self) -> List[int]:
-        return sorted(self.by_thread)
-
-    def __contains__(self, instance: Instance) -> bool:
-        tid, tindex = instance
-        records = self.by_thread.get(tid)
-        return records is not None and 0 <= tindex < len(records)
 
 
 # -- columnar layout ----------------------------------------------------------
@@ -177,8 +142,8 @@ class ColumnarTraceStore:
 
     def __init__(self) -> None:
         self._columns: Dict[int, _ThreadColumns] = {}
-        #: Public mapping tid -> list-like record view (same shape as
-        #: TraceStore.by_thread; views are created when a tid first appears).
+        #: Public mapping tid -> list-like record view (views are created
+        #: when a tid first appears).
         self.by_thread: Dict[int, _LazyThreadView] = {}
         self._tuples: dict = {}      # interner: def/use tuples
         self._loc_memo: dict = {}    # (tid, rtuple, mtuple) -> location tuple
@@ -265,7 +230,7 @@ class ColumnarTraceStore:
         return self.locations_for(
             tid, cols.statics[tindex][3], cols.dyns[tindex][0])
 
-    # -- TraceStore-compatible API --------------------------------------------
+    # -- record lookup -------------------------------------------------------
 
     def get(self, instance: Instance) -> TraceRecord:
         tid, tindex = instance

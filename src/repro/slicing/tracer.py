@@ -22,7 +22,7 @@ from repro.isa.program import Program
 from repro.slicing.control_dep import ControlDepTracker
 from repro.slicing.options import SliceOptions
 from repro.slicing.save_restore import SaveRestoreDetector
-from repro.slicing.trace import ColumnarTraceStore, TraceRecord, TraceStore
+from repro.slicing.trace import ColumnarTraceStore
 from repro.vm.hooks import InstrEvent, Tool
 
 _SYS_R0_DEF = ("r0",)
@@ -67,12 +67,9 @@ def prime_jump_tables(registry: CfgRegistry, program: Program) -> int:
 class TraceCollector(Tool):
     """Collects per-thread traces plus precision metadata during replay.
 
-    By default the trace goes into a :class:`ColumnarTraceStore` (the
-    predecoded engine's interned hot path).  ``SliceOptions(columnar=
-    False)`` selects the seed layout — one eagerly built
-    :class:`TraceRecord` per instruction in a :class:`TraceStore` — which
-    the perf benchmark uses as its measured baseline and the differential
-    tests compare against the columnar views record-for-record.
+    The trace goes into a :class:`ColumnarTraceStore`: one row of
+    interned def/use tuples per retired instruction, with record views
+    materialized only when a consumer asks for them.
     """
 
     wants_instr_events = True
@@ -89,9 +86,7 @@ class TraceCollector(Tool):
         self.save_restore = SaveRestoreDetector(
             program, self.options.max_save
             if self.options.prune_save_restore else 0)
-        self._columnar = self.options.columnar
-        self.store = (ColumnarTraceStore() if self._columnar
-                      else TraceStore())
+        self.store = ColumnarTraceStore()
         self._machine = None
         #: Per-pc cache of the interned static row part
         #: ``(addr, line, func, rdefs, ruses)``.  Register def/use sets
@@ -121,16 +116,13 @@ class TraceCollector(Tool):
             callee_frame_id = frames[-1].frame_id if frames else None
         cd = self.control.on_event(event, callee_frame_id)
 
-        if self._columnar:
-            self._append_columnar(event, instr, op, cd)
-        else:
-            self._append_record(event, instr, cd)
+        self._append(event, instr, op, cd)
 
         self.save_restore.on_event(event)
 
     # -- columnar append (hot path) ----------------------------------------
 
-    def _append_columnar(self, event, instr, op, cd) -> None:
+    def _append(self, event, instr, op, cd) -> None:
         store = self.store
         addr = event.addr
         cached = self._row_cache.get(addr)
@@ -186,31 +178,6 @@ class TraceCollector(Tool):
 
         store.append_row(store.columns_for(event.tid), static,
                          mdefs, muses, cd, values)
-
-    # -- eager record append (seed layout, benchmark baseline) -------------
-
-    def _append_record(self, event, instr, cd) -> None:
-        track_sp = self.options.track_stack_pointer
-        rdefs = _dedupe(name for name, _ in event.reg_writes
-                        if track_sp or name != "sp")
-        ruses = _dedupe(name for name, _ in event.reg_reads
-                        if track_sp or name != "sp")
-        mdefs = _dedupe(addr for addr, _ in event.mem_writes)
-        muses = _dedupe(addr for addr, _ in event.mem_reads)
-
-        values = None
-        if self.options.record_values:
-            values = {}
-            for name, value in event.reg_writes:
-                values[name] = value
-            for addr, value in event.mem_writes:
-                values[addr] = value
-
-        self.store.append(TraceRecord(
-            tid=event.tid, tindex=event.tindex, addr=event.addr,
-            line=instr.line, func=instr.func,
-            rdefs=rdefs, ruses=ruses, mdefs=mdefs, muses=muses,
-            cd=cd, values=values))
 
 
 def _dedupe(items) -> Tuple:

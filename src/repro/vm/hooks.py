@@ -82,7 +82,7 @@ class Tool:
 
     #: Set False to promise that :meth:`on_instr` never keeps a reference
     #: to the event (or its def/use sequences) past its own return.  When
-    #: every subscribed tool promises this, the predecoded engine recycles
+    #: every subscribed tool promises this, the machine recycles
     #: one scratch event per step instead of allocating — the def/use
     #: sequences are then lists, identical in contents and order to the
     #: tuples a retaining tool would see.  Leave True (the safe default)

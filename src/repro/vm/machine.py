@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.isa.instructions import Imm, Instr, Mem, Opcode, Reg
 from repro.isa.program import Program
 from repro.obs.registry import OBS
 from repro.vm.errors import AssertionFailure, DeadlockError, VMError
@@ -36,26 +35,6 @@ from repro.vm.syscalls import BLOCK, NONDET_SYSCALLS, SYSCALLS
 from repro.vm.thread import EXIT_SENTINEL, ThreadContext, ThreadStatus
 
 Word = Union[int, float]
-
-#: Execution engines: "predecoded" dispatches through per-pc micro-op
-#: closures (see :mod:`repro.vm.microops`); "legacy" is the seed
-#: if/elif interpreter, kept as the differential-testing baseline.
-ENGINES = ("predecoded", "legacy")
-
-#: Opcodes whose handlers can touch memory (SYS included because
-#: ``spawn`` writes the child's argument slot) — defined next to the
-#: record handlers they gate.
-_MEM_OPCODES = MEM_OPCODES
-
-
-def default_engine() -> str:
-    """The engine used when a Machine is built without an explicit choice.
-
-    Overridable via ``REPRO_ENGINE`` (resolved through
-    :func:`repro.config.engine`) so benchmarks and CI can pin either
-    engine without threading a parameter through every entry point."""
-    from repro import config
-    return config.engine()
 
 _LCG_MULT = 6364136223846793005
 _LCG_INC = 1442695040888963407
@@ -107,22 +86,14 @@ class Machine:
                  rand_seed: int = 0,
                  syscall_injector: Optional[Callable[[str, int], Optional[Word]]] = None,
                  start_main: bool = True,
-                 engine: Optional[str] = None,
                  heap_poison: bool = False) -> None:
         self.program = program
         self.instructions = program.instructions
-        self.engine = engine if engine is not None else default_engine()
-        if self.engine not in ENGINES:
-            raise VMError("unknown engine %r (expected one of %s)"
-                          % (self.engine, ", ".join(ENGINES)))
-        if self.engine == "predecoded":
-            (self._uops_fast, self._uops_traced,
-             self._uops_rec) = decode_program(program)
-        else:
-            self._uops_fast = self._uops_traced = self._uops_rec = None
+        (self._uops_fast, self._uops_traced,
+         self._uops_rec) = decode_program(program)
         self._code_len = len(self.instructions)
-        #: Cached sorted runnable-tid list (predecoded engine only); None
-        #: means stale.  Every thread-status mutation site invalidates it.
+        #: Cached sorted runnable-tid list; None means stale.  Every
+        #: thread-status mutation site invalidates it.
         self._runnable_cache: Optional[List[int]] = None
         #: Tids currently blocked in a sleep; lets the hot loop skip the
         #: all-threads sleeper scan when nobody is sleeping.
@@ -193,7 +164,7 @@ class Machine:
     def _index_tools(self) -> None:
         self._instr_tools = [t for t in self.tools if t.wants_instr_events]
         # When every subscribed tool consumes events synchronously
-        # (``retains_instr_events`` False), the predecoded traced path may
+        # (``retains_instr_events`` False), the traced path may
         # recycle one scratch InstrEvent and hand over the raw def/use
         # lists without tuple conversion.  Any tool that might retain the
         # event (the default) forces fresh, immutable events.
@@ -217,19 +188,17 @@ class Machine:
         instruction, the run loop records the RLE schedule inline and
         calls ``recorder.on_mem`` only for instructions that actually
         touched memory — everything else executes through the untraced
-        micro-op closures.  Requires the predecoded engine; the recorder
-        must also be registered as a tool (for syscall/lifecycle events,
-        which fire in untraced mode anyway).
+        micro-op closures.  The recorder must also be registered as a
+        tool (for syscall/lifecycle events, which fire in untraced mode
+        anyway).
         """
         if recorder is None:
             self._recorder = None
             self._rec_mem_pc = None
             return
-        if self.engine != "predecoded":
-            raise VMError("fast recording requires the predecoded engine")
         if self._excl_watch:
             raise VMError("cannot record over installed exclusions")
-        self._rec_mem_pc = [instr.op in _MEM_OPCODES
+        self._rec_mem_pc = [instr.op in MEM_OPCODES
                             for instr in self.instructions]
         # Scratch address lists reused across steps (cleared after each
         # on_mem delivery) — the record path allocates nothing per step.
@@ -245,16 +214,14 @@ class Machine:
         reports only the event classes the sink watches.  This is how the
         re-execution slicer replays a pinball (or a checkpoint-bounded
         window of one) while recording a pc stream or bare memory
-        addresses instead of full instruction events.  Requires the
-        predecoded engine; mutually exclusive with exclusion skips (the
-        reexec path never sees slice pinballs) and ignored while a
-        recorder or per-instruction tools are attached.
+        addresses instead of full instruction events.  Mutually
+        exclusive with exclusion skips (the reexec path never sees slice
+        pinballs) and ignored while a recorder or per-instruction tools
+        are attached.
         """
         if table is None:
             self._uops_sel = None
             return
-        if self.engine != "predecoded":
-            raise VMError("selective tracing requires the predecoded engine")
         if self._excl_watch:
             raise VMError(
                 "cannot trace selectively over installed exclusions")
@@ -364,22 +331,6 @@ class Machine:
         return [tid for tid, thread in sorted(self.threads.items())
                 if thread.status == ThreadStatus.RUNNABLE]
 
-    def _runnable_cached(self) -> List[int]:
-        """Hot-loop variant of :meth:`runnable_tids`.
-
-        Content-identical to a fresh :meth:`runnable_tids` call at every
-        step — the :class:`~repro.vm.scheduler.RandomScheduler` indexes
-        into this list, so a stale cache would silently change recorded
-        interleavings.  Every status mutation site resets the cache."""
-        if self._sleeping:
-            self._wake_sleepers()
-        cache = self._runnable_cache
-        if cache is None:
-            cache = [tid for tid, thread in sorted(self.threads.items())
-                     if thread.status == ThreadStatus.RUNNABLE]
-            self._runnable_cache = cache
-        return cache
-
     def live_threads(self) -> List[int]:
         return [tid for tid, thread in sorted(self.threads.items())
                 if thread.status != ThreadStatus.FINISHED]
@@ -435,16 +386,14 @@ class Machine:
         steps = 0
         retired = 0
         reason = "done"
-        predecoded = self.engine == "predecoded"
-        step_thread = self._step_thread_uop if predecoded else self._step_thread
+        step_thread = self._step_thread_uop
         # Fast record path: RLE schedule recording is inlined into this
         # loop (no per-step tool call), mem-order marking happens only on
         # instructions whose opcode can touch memory, and the recorder's
         # periodic checkpoint triggers on *step count* (global_seq can
         # jump past sleep fast-forwards and must not drive the interval).
         recorder = self._recorder
-        rec_on = (recorder is not None and predecoded
-                  and not self._instr_tools)
+        rec_on = recorder is not None and not self._instr_tools
         rec_tid = rec_count = rec_interval = rec_next = rec_base = 0
         rec_append = rec_on_mem = None
         rec_mem_pc = uops_rec = uops_fast = None
@@ -467,8 +416,8 @@ class Machine:
         # dedicated per-pc handler table inlined into this loop; mutually
         # exclusive with recording and with per-instruction tools.
         uops_sel = self._uops_sel
-        sel_on = (uops_sel is not None and predecoded
-                  and not self._instr_tools and recorder is None)
+        sel_on = (uops_sel is not None and not self._instr_tools
+                  and recorder is None)
         # Observability: one hoisted local; while disabled the per-step
         # cost is a single local-bool test (context-switch counting), and
         # everything else is aggregated from per-run deltas after the
@@ -521,16 +470,16 @@ class Machine:
                         sleeping.discard(intended)
                         self._runnable_cache = None
                 self._wake_sleepers()
-            if predecoded:
-                # Inlined _runnable_cached (sleeper wake handled above).
-                runnable = self._runnable_cache
-                if runnable is None:
-                    runnable = [tid for tid, thread in sorted(threads.items())
-                                if thread.status == ThreadStatus.RUNNABLE]
-                    self._runnable_cache = runnable
-            else:
+            # Cached runnable list, content-identical to a fresh
+            # runnable_tids() at every step (RandomScheduler indexes into
+            # it, so a stale cache would change recorded interleavings);
+            # every status mutation site resets it.  Sleepers were woken
+            # above.
+            runnable = self._runnable_cache
+            if runnable is None:
                 runnable = [tid for tid, thread in sorted(threads.items())
                             if thread.status == ThreadStatus.RUNNABLE]
+                self._runnable_cache = runnable
             if not runnable:
                 if self.finished:
                     reason = "done"
@@ -582,9 +531,9 @@ class Machine:
                 if rec_interval and rec_base + steps >= rec_next:
                     recorder.capture(self, rec_base + steps)
                     rec_next = recorder.next_checkpoint
-                # The record step, inlined (see _step_thread_record for
-                # the readable form): untraced closures except where the
-                # opcode can touch memory, with every table a loop local.
+                # The record step, inlined: untraced closures except where
+                # the opcode can touch memory, which run their record
+                # micro-op and hand the touched addresses to the recorder.
                 pc = thread.pc
                 if not 0 <= pc < code_len:
                     raise VMError("pc out of range", tid=tid, pc=pc)
@@ -696,54 +645,14 @@ class Machine:
 
     # -- single instruction ----------------------------------------------------------
 
-    def _step_thread(self, thread: ThreadContext) -> bool:
-        """Execute one instruction of ``thread``; False if it blocked."""
-        pc = thread.pc
-        if not 0 <= pc < len(self.instructions):
-            raise VMError("pc out of range", tid=thread.tid, pc=pc)
-        instr = self.instructions[pc]
-        tracing = bool(self._instr_tools)
-        reg_reads: Optional[List[Tuple[str, Word]]] = [] if tracing else None
-        reg_writes: Optional[List[Tuple[str, Word]]] = [] if tracing else None
-        mem_reads: Optional[List[Tuple[int, Word]]] = [] if tracing else None
-        mem_writes: Optional[List[Tuple[int, Word]]] = [] if tracing else None
-        self._cur_mem_writes = mem_writes
-        # Frame id *before* execution: a call instruction belongs to the
-        # caller's frame (the control-dependence tracker relies on this).
-        frame_id = thread.frames[-1].frame_id if thread.frames else -1
-
-        retired = self._execute(thread, instr, pc, reg_reads, reg_writes,
-                                mem_reads, mem_writes)
-        self._cur_mem_writes = None
-        if not retired:
-            return False
-        if tracing:
-            event = InstrEvent(
-                seq=self.global_seq,
-                tid=thread.tid,
-                tindex=thread.instr_count,
-                addr=pc,
-                instr=instr,
-                reg_reads=tuple(reg_reads),
-                reg_writes=tuple(reg_writes),
-                mem_reads=tuple(mem_reads),
-                mem_writes=tuple(mem_writes),
-                frame_id=frame_id,
-            )
-            for tool in self._instr_tools:
-                tool.on_instr(event)
-        thread.instr_count += 1
-        return True
-
     def _step_thread_uop(self, thread: ThreadContext) -> bool:
-        """Predecoded-engine step: one micro-op closure call per instruction.
+        """Execute one instruction of ``thread``; False if it blocked.
 
-        Untraced (no per-instruction tool attached): no def/use lists, no
-        event object — the handler mutates machine/thread state directly.
-        Traced: the handler appends def/use pairs in exactly the order the
-        legacy interpreter would, and the resulting
-        :class:`~repro.vm.hooks.InstrEvent` is indistinguishable from the
-        seed engine's (the differential tests assert this).
+        One micro-op closure call per instruction.  Untraced (no
+        per-instruction tool attached): no def/use lists, no event object
+        — the handler mutates machine/thread state directly.  Traced: the
+        handler appends def/use pairs in a fixed per-opcode order and the
+        step wraps them in an :class:`~repro.vm.hooks.InstrEvent`.
         """
         pc = thread.pc
         if not 0 <= pc < self._code_len:
@@ -800,180 +709,10 @@ class Machine:
         thread.instr_count += 1
         return True
 
-    def _step_thread_record(self, thread: ThreadContext) -> bool:
-        """Fast-record step: untraced closures except where memory moves.
-
-        Instructions that cannot touch memory run through the untraced
-        fast closures exactly as a tool-free replay would; memory-capable
-        instructions run their record micro-op, which deposits bare
-        touched *addresses* (all the recorder's access-order edge
-        detection needs) into two scratch lists reused across steps.
-        """
-        pc = thread.pc
-        if not 0 <= pc < self._code_len:
-            raise VMError("pc out of range", tid=thread.tid, pc=pc)
-        if not self._rec_mem_pc[pc]:
-            if self._uops_fast[pc](self, thread):
-                thread.instr_count += 1
-                return True
-            return False
-        mem_reads = self._rec_reads
-        mem_writes = self._rec_writes
-        retired = self._uops_rec[pc](self, thread, mem_reads, mem_writes)
-        if not retired:
-            if mem_reads or mem_writes:     # defensive: blocked syscall
-                del mem_reads[:]
-                del mem_writes[:]
-            return False
-        if mem_reads or mem_writes:
-            self._recorder.on_mem(thread.tid, thread.instr_count,
-                                  mem_reads, mem_writes, pc)
-            del mem_reads[:]
-            del mem_writes[:]
-        thread.instr_count += 1
-        return True
-
-    # Operand evaluation helpers -----------------------------------------------------
-
-    def _reg_read(self, thread, name, reg_reads) -> Word:
-        value = thread.regs[name]
-        if reg_reads is not None:
-            reg_reads.append((name, value))
-        return value
-
     def _reg_write(self, thread, name, value, reg_writes) -> None:
         thread.regs[name] = value
         if reg_writes is not None:
             reg_writes.append((name, value))
-
-    def _src(self, thread, operand, reg_reads) -> Word:
-        if isinstance(operand, Reg):
-            return self._reg_read(thread, operand.name, reg_reads)
-        if isinstance(operand, Imm):
-            return operand.value
-        raise VMError("bad source operand %r" % (operand,), tid=thread.tid)
-
-    def _mem_addr(self, thread, operand: Mem, reg_reads) -> int:
-        base = self._reg_read(thread, operand.base.name, reg_reads)
-        return int(base) + operand.offset
-
-    def _load(self, addr: int, mem_reads) -> Word:
-        value = self.memory.read(addr)
-        if mem_reads is not None:
-            mem_reads.append((addr, value))
-        return value
-
-    def _store(self, addr: int, value: Word, mem_writes) -> None:
-        self.memory.write(addr, value)
-        if mem_writes is not None:
-            mem_writes.append((addr, value))
-
-    # The interpreter proper ------------------------------------------------------------
-
-    def _execute(self, thread, instr, pc, reg_reads, reg_writes,
-                 mem_reads, mem_writes) -> bool:
-        op = instr.op
-        ops = instr.operands
-
-        if op == Opcode.MOV:
-            value = self._src(thread, ops[1], reg_reads)
-            self._reg_write(thread, ops[0].name, value, reg_writes)
-            thread.pc = pc + 1
-        elif op == Opcode.LD:
-            addr = self._mem_addr(thread, ops[1], reg_reads)
-            value = self._load(addr, mem_reads)
-            self._reg_write(thread, ops[0].name, value, reg_writes)
-            thread.pc = pc + 1
-        elif op == Opcode.ST:
-            addr = self._mem_addr(thread, ops[0], reg_reads)
-            value = self._src(thread, ops[1], reg_reads)
-            self._store(addr, value, mem_writes)
-            thread.pc = pc + 1
-        elif op == Opcode.LEA:
-            target = ops[1]
-            value = target.value if isinstance(target, Imm) else self._src(
-                thread, target, reg_reads)
-            self._reg_write(thread, ops[0].name, value, reg_writes)
-            thread.pc = pc + 1
-        elif op == Opcode.BINOP:
-            a = self._src(thread, ops[1], reg_reads)
-            b = self._src(thread, ops[2], reg_reads)
-            value = _apply_binop(instr.subop, a, b, thread, pc)
-            self._reg_write(thread, ops[0].name, value, reg_writes)
-            thread.pc = pc + 1
-        elif op == Opcode.UNOP:
-            a = self._src(thread, ops[1], reg_reads)
-            value = _apply_unop(instr.subop, a)
-            self._reg_write(thread, ops[0].name, value, reg_writes)
-            thread.pc = pc + 1
-        elif op == Opcode.JMP:
-            thread.pc = int(ops[0].value)
-        elif op == Opcode.BR:
-            cond = self._reg_read(thread, ops[0].name, reg_reads)
-            thread.pc = int(ops[1].value) if cond != 0 else pc + 1
-        elif op == Opcode.BRZ:
-            cond = self._reg_read(thread, ops[0].name, reg_reads)
-            thread.pc = int(ops[1].value) if cond == 0 else pc + 1
-        elif op == Opcode.IJMP:
-            target = int(self._reg_read(thread, ops[0].name, reg_reads))
-            self._check_code_addr(target, thread)
-            thread.pc = target
-        elif op in (Opcode.CALL, Opcode.ICALL):
-            if op == Opcode.CALL:
-                target = int(ops[0].value)
-            else:
-                target = int(self._reg_read(thread, ops[0].name, reg_reads))
-            self._check_code_addr(target, thread)
-            sp = int(self._reg_read(thread, "sp", reg_reads)) - 1
-            if sp <= thread.stack_limit:
-                raise VMError("stack overflow", tid=thread.tid, pc=pc)
-            self._store(sp, pc + 1, mem_writes)
-            self._reg_write(thread, "sp", sp, reg_writes)
-            function = self.program.function_at(target)
-            thread.push_frame(function.name if function else "<anon>",
-                              pc, pc + 1)
-            thread.pc = target
-        elif op == Opcode.RET:
-            sp = int(self._reg_read(thread, "sp", reg_reads))
-            ret_addr = int(self._load(sp, mem_reads))
-            self._reg_write(thread, "sp", sp + 1, reg_writes)
-            thread.pop_frame()
-            if ret_addr == EXIT_SENTINEL:
-                thread.pc = pc + 1
-                self._finish_thread(thread)
-            else:
-                self._check_code_addr(ret_addr, thread)
-                thread.pc = ret_addr
-        elif op == Opcode.PUSH:
-            value = self._src(thread, ops[0], reg_reads)
-            sp = int(self._reg_read(thread, "sp", reg_reads)) - 1
-            if sp <= thread.stack_limit:
-                raise VMError("stack overflow", tid=thread.tid, pc=pc)
-            self._store(sp, value, mem_writes)
-            self._reg_write(thread, "sp", sp, reg_writes)
-            thread.pc = pc + 1
-        elif op == Opcode.POP:
-            sp = int(self._reg_read(thread, "sp", reg_reads))
-            value = self._load(sp, mem_reads)
-            self._reg_write(thread, ops[0].name, value, reg_writes)
-            self._reg_write(thread, "sp", sp + 1, reg_writes)
-            thread.pc = pc + 1
-        elif op == Opcode.SYS:
-            return self._do_syscall(thread, instr, pc, reg_reads, reg_writes)
-        elif op == Opcode.HALT:
-            thread.pc = pc + 1
-            self.request_exit(0)
-        elif op == Opcode.NOP:
-            thread.pc = pc + 1
-        else:
-            raise VMError("unimplemented opcode %r" % op,
-                          tid=thread.tid, pc=pc)
-        return True
-
-    def _check_code_addr(self, target: int, thread) -> None:
-        if not 0 <= target < len(self.instructions):
-            raise VMError("control transfer to bad address %d" % target,
-                          tid=thread.tid, pc=thread.pc)
 
     def _do_syscall(self, thread, instr, pc, reg_reads, reg_writes) -> bool:
         name = instr.subop
@@ -1039,12 +778,10 @@ class Machine:
     def from_snapshot(cls, program: Program, snap: MachineSnapshot,
                       scheduler: Optional[Scheduler] = None,
                       tools: Sequence[Tool] = (),
-                      syscall_injector=None,
-                      engine: Optional[str] = None) -> "Machine":
+                      syscall_injector=None) -> "Machine":
         payload = snap.to_dict()
         machine = cls(program, scheduler=scheduler, tools=tools,
-                      syscall_injector=syscall_injector, start_main=False,
-                      engine=engine)
+                      syscall_injector=syscall_injector, start_main=False)
         machine.memory = Memory.from_snapshot(payload["memory"])
         machine.threads = {}
         for tsnap in payload["threads"]:
@@ -1114,58 +851,3 @@ class Machine:
             return self.memory.read(int(thread.regs["fp"]) + offset)
         raise VMError("unknown local %r in %s" % (name, frame.func))
 
-
-def _apply_binop(subop: str, a: Word, b: Word, thread, pc) -> Word:
-    if subop == "add":
-        return a + b
-    if subop == "sub":
-        return a - b
-    if subop == "mul":
-        return a * b
-    if subop == "div":
-        if b == 0:
-            raise VMError("division by zero", tid=thread.tid, pc=pc)
-        if isinstance(a, int) and isinstance(b, int):
-            quotient = abs(a) // abs(b)
-            return quotient if (a >= 0) == (b >= 0) else -quotient
-        return a / b
-    if subop == "mod":
-        if b == 0:
-            raise VMError("modulo by zero", tid=thread.tid, pc=pc)
-        return int(a) - int(b) * (abs(int(a)) // abs(int(b))) * (
-            1 if (a >= 0) == (b >= 0) else -1)
-    if subop == "and":
-        return int(a) & int(b)
-    if subop == "or":
-        return int(a) | int(b)
-    if subop == "xor":
-        return int(a) ^ int(b)
-    if subop == "shl":
-        return int(a) << int(b)
-    if subop == "shr":
-        return int(a) >> int(b)
-    if subop == "eq":
-        return int(a == b)
-    if subop == "ne":
-        return int(a != b)
-    if subop == "lt":
-        return int(a < b)
-    if subop == "le":
-        return int(a <= b)
-    if subop == "gt":
-        return int(a > b)
-    if subop == "ge":
-        return int(a >= b)
-    raise VMError("unknown binop %r" % subop, tid=thread.tid, pc=pc)
-
-
-def _apply_unop(subop: str, a: Word) -> Word:
-    if subop == "neg":
-        return -a
-    if subop == "not":
-        return int(not a)
-    if subop == "int":
-        return int(a)
-    if subop == "float":
-        return float(a)
-    raise VMError("unknown unop %r" % subop)

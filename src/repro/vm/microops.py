@@ -1,8 +1,8 @@
-"""Predecoded micro-op execution engine.
+"""Predecoded micro-op execution: the VM's one interpreter.
 
 At :class:`~repro.vm.machine.Machine` construction the program's flat
 instruction list is compiled — once per :class:`~repro.isa.program.Program`,
-cached on the program object — into two parallel handler tables:
+cached on the program object — into three parallel handler tables:
 
 * ``fast[pc](machine, thread) -> bool`` — the *untraced* path.  Operands,
   immediates, jump targets, register names and callee functions are
@@ -12,17 +12,18 @@ cached on the program object — into two parallel handler tables:
   per-instruction tool is attached (the analog of Pin-only speed).
 * ``traced[pc](machine, thread, rr, rw, mr, mw) -> bool`` — the *traced*
   path.  Same pre-resolved semantics, but every register read/write and
-  memory read/write is appended to the supplied lists in exactly the order
-  the seed interpreter (:meth:`Machine._execute`) produced them, so
-  :class:`~repro.vm.hooks.InstrEvent` streams are bit-for-bit identical
-  between engines (the differential tests assert this).
+  memory read/write is appended to the supplied lists in a fixed
+  per-opcode order — the order of the original if/elif interpreter, which
+  ``tests/support/seed_vm.py`` keeps as the reference the differential
+  tests compare :class:`~repro.vm.hooks.InstrEvent` streams against.
 * ``rec[pc](machine, thread, mr, mw) -> bool`` — the *record* path,
   present only for opcodes in :data:`MEM_OPCODES` (``None`` elsewhere).
   The fast recorder needs just the memory *addresses* an instruction
   touched (access-order edges carry no values), so these closures run at
   untraced speed plus one bare-``int`` append per access: no tuples, no
-  register def/use plumbing.  Opcodes without a dedicated record shape
-  (SYS, fallbacks) wrap their traced closure and strip the addresses out.
+  register def/use plumbing.  Handlers without a dedicated record shape
+  (SYS, invalid operand shapes) wrap their traced closure and strip the
+  addresses out.
 * ``sel[pc](machine, thread) -> bool`` — the *selective* path
   (:func:`decode_selective`), the re-execution slicer's fourth table
   variant.  Unlike the three tables above it is bound to a *sink* object
@@ -36,10 +37,13 @@ cached on the program object — into two parallel handler tables:
   on demand).
 
 All handlers return True iff the instruction retired (False: a syscall
-blocked and will be retried).  Instructions the decoder does not recognize
-fall back to a closure that delegates to the machine's legacy
-``_execute`` — decoding never changes observable behavior, including the
-error behavior of malformed operand combinations.
+blocked and will be retried).  Every opcode and operand shape decodes.
+A shape that can never retire (``mov`` into an immediate, ``ld`` from a
+register, ``jmp`` through a register, ...) is bound to a closure that
+raises :class:`~repro.vm.errors.VMError` with the thread and pc *when it
+executes* — decoding itself never fails, so a malformed instruction on a
+path the program never takes stays harmless.  A conditional branch whose
+target is not an address raises only when the branch is taken.
 
 The handler tables are keyed by the *identity* of ``program.instructions``
 so a relinked or mutated program is transparently re-decoded.
@@ -49,7 +53,7 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional, Tuple
 
-from repro.isa.instructions import Instr, Mem, Opcode
+from repro.isa.instructions import Imm, Instr, Mem, Opcode
 from repro.vm.errors import VMError
 from repro.vm.thread import EXIT_SENTINEL
 
@@ -90,12 +94,7 @@ def decode_program(program) -> Tuple[List[FastHandler], List[TracedHandler],
     traced_table: List[TracedHandler] = []
     rec_table: List[Optional[RecordHandler]] = []
     for pc, instr in enumerate(instructions):
-        try:
-            fast, traced = _decode_instr(program, instr, pc, code_len)
-        except Exception:
-            # Unknown shape: preserve the seed interpreter's behavior
-            # (including its runtime errors) by delegating per execution.
-            fast, traced = _make_fallback(instr, pc)
+        fast, traced = _decode_instr(program, instr, pc, code_len)
         fast_table.append(fast)
         traced_table.append(traced)
         rec_table.append(_record_handler(program, instr, pc, code_len,
@@ -108,12 +107,72 @@ def decode_program(program) -> Tuple[List[FastHandler], List[TracedHandler],
     return fast_table, traced_table, rec_table
 
 
-def _make_fallback(instr: Instr, pc: int):
+# -- operand shapes ----------------------------------------------------------
+#
+# The kinds (Instr.operand_kinds) of the operands each opcode reads.  An
+# instruction executes only when its leading operands match one of its
+# opcode's shapes; operands past the shape length are never read.  SYS,
+# RET, HALT and NOP read no operands.
+
+_SHAPES = {
+    Opcode.MOV: ("rr", "ri"),
+    Opcode.LEA: ("rr", "ri"),
+    Opcode.LD: ("rm",),
+    Opcode.ST: ("mr", "mi"),
+    Opcode.BINOP: ("rrr", "rri", "rir", "rii"),
+    Opcode.UNOP: ("rr", "ri"),
+    Opcode.JMP: ("i",),
+    Opcode.IJMP: ("r",),
+    Opcode.CALL: ("i",),
+    Opcode.ICALL: ("r",),
+    Opcode.PUSH: ("r", "i"),
+    Opcode.POP: ("r",),
+    # A branch reads its condition register first; its target is only
+    # read when the branch is taken (see _decode_br).
+    Opcode.BR: ("r",),
+    Opcode.BRZ: ("r",),
+}
+
+
+def _code_target(operand) -> Optional[int]:
+    """The code address an immediate operand names (None: not an address,
+    e.g. a register, or a non-finite float that has no integer value)."""
+    if not isinstance(operand, Imm):
+        return None
+    try:
+        return int(operand.value)
+    except (OverflowError, ValueError):
+        return None
+
+
+def _executable(instr: Instr) -> bool:
+    """Whether ``instr`` has an operand shape that can retire."""
+    shapes = _SHAPES.get(instr.op)
+    if shapes is None:
+        return True
+    kinds = instr.operand_kinds()
+    if kinds[:len(shapes[0])] not in shapes:
+        return False
+    op = instr.op
+    if op == Opcode.JMP or op == Opcode.CALL:
+        return _code_target(instr.operands[0]) is not None
+    if op == Opcode.BINOP:
+        return instr.subop in _SIMPLE_BINOPS or instr.subop in ("div", "mod")
+    if op == Opcode.UNOP:
+        return instr.subop in _UNOPS
+    return True
+
+
+def _decode_invalid(instr: Instr, pc: int):
+    """An instruction that can never retire: raise when it executes."""
+    message = "cannot execute %r (operand shape %r)" % (
+        str(instr), instr.operand_kinds())
+
     def fast(machine, thread) -> bool:
-        return machine._execute(thread, instr, pc, None, None, None, None)
+        raise VMError(message, tid=thread.tid, pc=pc)
 
     def traced(machine, thread, rr, rw, mr, mw) -> bool:
-        return machine._execute(thread, instr, pc, rr, rw, mr, mw)
+        raise VMError(message, tid=thread.tid, pc=pc)
 
     return fast, traced
 
@@ -230,6 +289,8 @@ _UNOPS = {"neg": _k_neg, "not": _k_not, "int": _k_int, "float": _k_float}
 # -- the decoder -------------------------------------------------------------
 
 def _decode_instr(program, instr: Instr, pc: int, code_len: int):
+    if not _executable(instr):
+        return _decode_invalid(instr, pc)
     op = instr.op
     ops = instr.operands
     kinds = instr.operand_kinds()
@@ -238,46 +299,41 @@ def _decode_instr(program, instr: Instr, pc: int, code_len: int):
     if op == Opcode.MOV or op == Opcode.LEA:
         # After linking, a LEA's label operand is an Imm address — both
         # opcodes reduce to an immediate-load or register-copy shape.
-        if kinds == "ri":
+        if kinds[1] == "i":
             return _decode_mov_imm(ops[0].name, ops[1].value, next_pc)
-        if kinds == "rr":
-            return _decode_mov_reg(ops[0].name, ops[1].name, next_pc)
-        raise ValueError("undecodable %s shape %r" % (op, kinds))
+        return _decode_mov_reg(ops[0].name, ops[1].name, next_pc)
     if op == Opcode.LD:
         return _decode_ld(ops[0].name, ops[1], next_pc)
     if op == Opcode.ST:
-        return _decode_st(ops[0], ops[1], kinds, next_pc)
+        return _decode_st(ops[0], ops[1], kinds[:2], next_pc)
     if op == Opcode.BINOP:
         return _decode_binop(instr.subop, ops[0].name, ops[1], ops[2],
-                             kinds, pc, next_pc)
+                             kinds[:3], pc, next_pc)
     if op == Opcode.UNOP:
-        return _decode_unop(instr.subop, ops[0].name, ops[1], kinds,
+        return _decode_unop(instr.subop, ops[0].name, ops[1], kinds[:2],
                             next_pc)
     if op == Opcode.JMP:
-        return _decode_jmp(int(ops[0].value))
-    if op == Opcode.BR:
-        return _decode_br(ops[0].name, int(ops[1].value), next_pc, False)
-    if op == Opcode.BRZ:
-        return _decode_br(ops[0].name, int(ops[1].value), next_pc, True)
+        return _decode_jmp(_code_target(ops[0]))
+    if op == Opcode.BR or op == Opcode.BRZ:
+        target = _code_target(ops[1]) if len(ops) > 1 else None
+        return _decode_br(ops[0].name, target, pc, op == Opcode.BRZ)
     if op == Opcode.IJMP:
         return _decode_ijmp(ops[0].name, code_len)
     if op == Opcode.CALL:
-        return _decode_call(program, int(ops[0].value), pc, code_len)
+        return _decode_call(program, _code_target(ops[0]), pc, code_len)
     if op == Opcode.ICALL:
         return _decode_icall(program, ops[0].name, pc, code_len)
     if op == Opcode.RET:
         return _decode_ret(next_pc, code_len)
     if op == Opcode.PUSH:
-        return _decode_push(ops[0], kinds, pc, next_pc)
+        return _decode_push(ops[0], kinds[:1], pc, next_pc)
     if op == Opcode.POP:
         return _decode_pop(ops[0].name, next_pc)
     if op == Opcode.SYS:
         return _decode_sys(instr, pc)
     if op == Opcode.HALT:
         return _decode_halt(next_pc)
-    if op == Opcode.NOP:
-        return _decode_nop(next_pc)
-    raise ValueError("undecodable opcode %r" % (op,))
+    return _decode_nop(next_pc)
 
 
 # MOV / LEA ------------------------------------------------------------------
@@ -365,36 +421,32 @@ def _decode_st(mem: Mem, src, kinds: str, next_pc: int):
             return True
 
         return fast, traced
-    if kinds == "mr":
-        rs = src.name
+    rs = src.name
 
-        def fast(machine, thread) -> bool:
-            regs = thread.regs
-            machine.memory.write(int(regs[rb]) + offset, regs[rs])
-            thread.pc = next_pc
-            return True
+    def fast(machine, thread) -> bool:
+        regs = thread.regs
+        machine.memory.write(int(regs[rb]) + offset, regs[rs])
+        thread.pc = next_pc
+        return True
 
-        def traced(machine, thread, rr, rw, mr, mw) -> bool:
-            regs = thread.regs
-            base = regs[rb]
-            rr.append((rb, base))
-            value = regs[rs]
-            rr.append((rs, value))
-            addr = int(base) + offset
-            machine.memory.write(addr, value)
-            mw.append((addr, value))
-            thread.pc = next_pc
-            return True
+    def traced(machine, thread, rr, rw, mr, mw) -> bool:
+        regs = thread.regs
+        base = regs[rb]
+        rr.append((rb, base))
+        value = regs[rs]
+        rr.append((rs, value))
+        addr = int(base) + offset
+        machine.memory.write(addr, value)
+        mw.append((addr, value))
+        thread.pc = next_pc
+        return True
 
-        return fast, traced
-    raise ValueError("undecodable st shape %r" % (kinds,))
+    return fast, traced
 
 
 # BINOP / UNOP ---------------------------------------------------------------
 
 def _decode_binop(subop, rd: str, a, b, kinds: str, pc: int, next_pc: int):
-    if kinds not in ("rrr", "rri", "rir", "rii"):
-        raise ValueError("undecodable binop shape %r" % (kinds,))
     a_reg = kinds[1] == "r"
     b_reg = kinds[2] == "r"
 
@@ -402,10 +454,8 @@ def _decode_binop(subop, rd: str, a, b, kinds: str, pc: int, next_pc: int):
     if kernel is None:
         if subop == "div":
             kernel3 = _make_div_kernel(pc)
-        elif subop == "mod":
-            kernel3 = _make_mod_kernel(pc)
         else:
-            raise ValueError("undecodable binop subop %r" % (subop,))
+            kernel3 = _make_mod_kernel(pc)
         return _decode_binop3(kernel3, rd, a, b, a_reg, b_reg, next_pc)
 
     if a_reg and b_reg:
@@ -576,9 +626,7 @@ def _decode_binop3(kernel3, rd: str, a, b, a_reg: bool, b_reg: bool,
 
 
 def _decode_unop(subop, rd: str, a, kinds: str, next_pc: int):
-    kernel = _UNOPS.get(subop)
-    if kernel is None:
-        raise ValueError("undecodable unop subop %r" % (subop,))
+    kernel = _UNOPS[subop]
     if kinds == "rr":
         ra = a.name
 
@@ -599,28 +647,25 @@ def _decode_unop(subop, rd: str, a, kinds: str, next_pc: int):
             return True
 
         return fast, traced
-    if kinds == "ri":
-        try:
-            folded = kernel(a.value)
-        except Exception:
-            va = a.value
+    try:
+        folded = kernel(a.value)
+    except Exception:
+        va = a.value
 
-            def fast(machine, thread) -> bool:
-                thread.regs[rd] = kernel(va)
-                thread.pc = next_pc
-                return True
+        def fast(machine, thread) -> bool:
+            thread.regs[rd] = kernel(va)
+            thread.pc = next_pc
+            return True
 
-            def traced(machine, thread, rr, rw, mr, mw) -> bool:
-                value = kernel(va)
-                thread.regs[rd] = value
-                rw.append((rd, value))
-                thread.pc = next_pc
-                return True
+        def traced(machine, thread, rr, rw, mr, mw) -> bool:
+            value = kernel(va)
+            thread.regs[rd] = value
+            rw.append((rd, value))
+            thread.pc = next_pc
+            return True
 
-            return fast, traced
-        return _decode_mov_imm(rd, folded, next_pc)
-    raise ValueError("undecodable unop shape %r" % (kinds,))
-
+        return fast, traced
+    return _decode_mov_imm(rd, folded, next_pc)
 
 # Control transfer -----------------------------------------------------------
 
@@ -636,7 +681,29 @@ def _decode_jmp(target: int):
     return fast, traced
 
 
-def _decode_br(rc: str, target: int, next_pc: int, branch_if_zero: bool):
+def _decode_br(rc: str, target: Optional[int], pc: int,
+               branch_if_zero: bool):
+    next_pc = pc + 1
+    if target is None:
+        # The target operand is not a code address: a fault, but only
+        # when the branch is taken (the condition is read first).
+        def fast(machine, thread) -> bool:
+            if (thread.regs[rc] == 0) == branch_if_zero:
+                raise VMError("branch target is not a code address",
+                              tid=thread.tid, pc=pc)
+            thread.pc = next_pc
+            return True
+
+        def traced(machine, thread, rr, rw, mr, mw) -> bool:
+            cond = thread.regs[rc]
+            rr.append((rc, cond))
+            if (cond == 0) == branch_if_zero:
+                raise VMError("branch target is not a code address",
+                              tid=thread.tid, pc=pc)
+            thread.pc = next_pc
+            return True
+
+        return fast, traced
     if branch_if_zero:
         def fast(machine, thread) -> bool:
             thread.pc = target if thread.regs[rc] == 0 else next_pc
@@ -848,38 +915,36 @@ def _decode_push(src, kinds: str, pc: int, next_pc: int):
             return True
 
         return fast, traced
-    if kinds == "r":
-        rs = src.name
+    rs = src.name
 
-        def fast(machine, thread) -> bool:
-            regs = thread.regs
-            value = regs[rs]
-            sp = int(regs["sp"]) - 1
-            if sp <= thread.stack_limit:
-                raise VMError("stack overflow", tid=thread.tid, pc=pc)
-            machine.memory.write(sp, value)
-            regs["sp"] = sp
-            thread.pc = next_pc
-            return True
+    def fast(machine, thread) -> bool:
+        regs = thread.regs
+        value = regs[rs]
+        sp = int(regs["sp"]) - 1
+        if sp <= thread.stack_limit:
+            raise VMError("stack overflow", tid=thread.tid, pc=pc)
+        machine.memory.write(sp, value)
+        regs["sp"] = sp
+        thread.pc = next_pc
+        return True
 
-        def traced(machine, thread, rr, rw, mr, mw) -> bool:
-            regs = thread.regs
-            value = regs[rs]
-            rr.append((rs, value))
-            sp0 = regs["sp"]
-            rr.append(("sp", sp0))
-            sp = int(sp0) - 1
-            if sp <= thread.stack_limit:
-                raise VMError("stack overflow", tid=thread.tid, pc=pc)
-            machine.memory.write(sp, value)
-            mw.append((sp, value))
-            regs["sp"] = sp
-            rw.append(("sp", sp))
-            thread.pc = next_pc
-            return True
+    def traced(machine, thread, rr, rw, mr, mw) -> bool:
+        regs = thread.regs
+        value = regs[rs]
+        rr.append((rs, value))
+        sp0 = regs["sp"]
+        rr.append(("sp", sp0))
+        sp = int(sp0) - 1
+        if sp <= thread.stack_limit:
+            raise VMError("stack overflow", tid=thread.tid, pc=pc)
+        machine.memory.write(sp, value)
+        mw.append((sp, value))
+        regs["sp"] = sp
+        rw.append(("sp", sp))
+        thread.pc = next_pc
+        return True
 
-        return fast, traced
-    raise ValueError("undecodable push shape %r" % (kinds,))
+    return fast, traced
 
 
 def _decode_pop(rd: str, next_pc: int):
@@ -948,41 +1013,39 @@ def _decode_nop(next_pc: int):
 
 # -- record handlers ----------------------------------------------------------
 #
-# The fast record path (Machine._step_thread_record) only needs the memory
-# addresses an instruction touched, in access order — the recorder's edge
-# detection never looks at values.  Each handler is the untraced closure
-# plus a bare-int append; anything without a dedicated shape below wraps
-# its traced closure and strips the addresses out afterwards.
+# The fast record path (Machine.run with a recorder armed) only needs the
+# memory addresses an instruction touched, in access order — the
+# recorder's edge detection never looks at values.  Each handler is the
+# untraced closure plus a bare-int append; SYS and invalid shapes wrap
+# their traced closure and strip the addresses out afterwards.
 
 def _record_handler(program, instr: Instr, pc: int, code_len: int,
                     traced) -> Optional[RecordHandler]:
-    if instr.op not in MEM_OPCODES:
+    op = instr.op
+    if op not in MEM_OPCODES:
         return None
-    try:
-        ops = instr.operands
-        kinds = instr.operand_kinds()
-        next_pc = pc + 1
-        if instr.op == Opcode.LD:
-            return _rec_ld(ops[0].name, ops[1], next_pc)
-        if instr.op == Opcode.ST:
-            return _rec_st(ops[0], ops[1], kinds, next_pc)
-        if instr.op == Opcode.PUSH:
-            return _rec_push(ops[0], kinds, pc, next_pc)
-        if instr.op == Opcode.POP:
-            return _rec_pop(ops[0].name, next_pc)
-        if instr.op == Opcode.CALL:
-            return _rec_call(program, int(ops[0].value), pc, code_len)
-        if instr.op == Opcode.ICALL:
-            return _rec_icall(program, ops[0].name, pc, code_len)
-        if instr.op == Opcode.RET:
-            return _rec_ret(next_pc, code_len)
-    except Exception:
-        pass    # undecodable shape: the traced wrapper preserves behavior
-    return _rec_from_traced(traced)
+    if op == Opcode.SYS or not _executable(instr):
+        return _rec_from_traced(traced)
+    ops = instr.operands
+    kinds = instr.operand_kinds()
+    next_pc = pc + 1
+    if op == Opcode.LD:
+        return _rec_ld(ops[0].name, ops[1], next_pc)
+    if op == Opcode.ST:
+        return _rec_st(ops[0], ops[1], kinds[:2], next_pc)
+    if op == Opcode.PUSH:
+        return _rec_push(ops[0], kinds[:1], pc, next_pc)
+    if op == Opcode.POP:
+        return _rec_pop(ops[0].name, next_pc)
+    if op == Opcode.CALL:
+        return _rec_call(program, _code_target(ops[0]), pc, code_len)
+    if op == Opcode.ICALL:
+        return _rec_icall(program, ops[0].name, pc, code_len)
+    return _rec_ret(next_pc, code_len)
 
 
 def _rec_from_traced(traced) -> RecordHandler:
-    """Record handler for SYS and fallback shapes: run the traced closure
+    """Record handler for SYS and invalid shapes: run the traced closure
     against throwaway lists (plus ``_cur_mem_writes``, where ``spawn``
     deposits the child's argument-slot write) and keep only addresses."""
     def rec(machine, thread, mr, mw) -> bool:
@@ -1031,19 +1094,17 @@ def _rec_st(mem: Mem, src, kinds: str, next_pc: int) -> RecordHandler:
             return True
 
         return rec
-    if kinds == "mr":
-        rs = src.name
+    rs = src.name
 
-        def rec(machine, thread, mr, mw) -> bool:
-            regs = thread.regs
-            addr = int(regs[rb]) + offset
-            machine.memory.write(addr, regs[rs])
-            mw.append(addr)
-            thread.pc = next_pc
-            return True
+    def rec(machine, thread, mr, mw) -> bool:
+        regs = thread.regs
+        addr = int(regs[rb]) + offset
+        machine.memory.write(addr, regs[rs])
+        mw.append(addr)
+        thread.pc = next_pc
+        return True
 
-        return rec
-    raise ValueError("undecodable st shape %r" % (kinds,))
+    return rec
 
 
 def _rec_push(src, kinds: str, pc: int, next_pc: int) -> RecordHandler:
@@ -1062,23 +1123,21 @@ def _rec_push(src, kinds: str, pc: int, next_pc: int) -> RecordHandler:
             return True
 
         return rec
-    if kinds == "r":
-        rs = src.name
+    rs = src.name
 
-        def rec(machine, thread, mr, mw) -> bool:
-            regs = thread.regs
-            value = regs[rs]
-            sp = int(regs["sp"]) - 1
-            if sp <= thread.stack_limit:
-                raise VMError("stack overflow", tid=thread.tid, pc=pc)
-            machine.memory.write(sp, value)
-            mw.append(sp)
-            regs["sp"] = sp
-            thread.pc = next_pc
-            return True
+    def rec(machine, thread, mr, mw) -> bool:
+        regs = thread.regs
+        value = regs[rs]
+        sp = int(regs["sp"]) - 1
+        if sp <= thread.stack_limit:
+            raise VMError("stack overflow", tid=thread.tid, pc=pc)
+        machine.memory.write(sp, value)
+        mw.append(sp)
+        regs["sp"] = sp
+        thread.pc = next_pc
+        return True
 
-        return rec
-    raise ValueError("undecodable push shape %r" % (kinds,))
+    return rec
 
 
 def _rec_pop(rd: str, next_pc: int) -> RecordHandler:
@@ -1197,10 +1256,11 @@ def decode_selective(program, sink) -> List[SelectiveHandler]:
     ``on_mem(tid, tindex, reads, writes)``; the address lists are scratch
     buffers reused across steps, so the sink must copy what it keeps.
 
-    Raises :class:`ValueError` for instructions the decoder cannot give a
-    dedicated shape — selective tracing has no fallback path because its
-    consumer (the reexec slicer) must also *statically* derive the
-    instruction's register defs/uses, which an opaque shape cannot supply.
+    Raises :class:`ValueError` for instructions that cannot retire (and
+    branches whose target is not a code address): the tables' consumer
+    (the reexec slicer) must also *statically* derive every
+    instruction's register defs/uses and successors, which a faulting
+    shape cannot supply.  The session falls back to the traced pipeline.
     """
     mode = sink.mode
     instructions = program.instructions
@@ -1211,12 +1271,8 @@ def decode_selective(program, sink) -> List[SelectiveHandler]:
         mr: List[int] = []
         mw: List[int] = []
         for pc, instr in enumerate(instructions):
-            try:
-                _fast, traced = _decode_instr(program, instr, pc, code_len)
-            except Exception:
-                raise ValueError(
-                    "selective decode: undecodable instruction at pc %d (%r)"
-                    % (pc, instr.op))
+            _check_selective(instr, pc)
+            _fast, traced = _decode_instr(program, instr, pc, code_len)
             if instr.op in MEM_OPCODES:
                 rec = _record_handler(program, instr, pc, code_len, traced)
                 table.append(_sel_mem(rec, on_mem, mr, mw))
@@ -1232,12 +1288,8 @@ def decode_selective(program, sink) -> List[SelectiveHandler]:
     wmr: List[int] = []
     wmw: List[int] = []
     for pc, instr in enumerate(instructions):
-        try:
-            fast, traced = _decode_instr(program, instr, pc, code_len)
-        except Exception:
-            raise ValueError(
-                "selective decode: undecodable instruction at pc %d (%r)"
-                % (pc, instr.op))
+        _check_selective(instr, pc)
+        fast, traced = _decode_instr(program, instr, pc, code_len)
         op = instr.op
         if op == Opcode.BR or op == Opcode.BRZ:
             table.append(_sel_flow_branch(fast, pc, on_step, sink.on_branch))
@@ -1262,6 +1314,17 @@ def decode_selective(program, sink) -> List[SelectiveHandler]:
         else:
             table.append(_sel_flow_plain(fast, pc, on_step))
     return table
+
+
+def _check_selective(instr: Instr, pc: int) -> None:
+    ok = _executable(instr)
+    if ok and (instr.op == Opcode.BR or instr.op == Opcode.BRZ):
+        ok = (len(instr.operands) > 1
+              and _code_target(instr.operands[1]) is not None)
+    if not ok:
+        raise ValueError(
+            "selective decode: undecodable instruction at pc %d (%r)"
+            % (pc, instr.op))
 
 
 def _sel_mem(rec, on_mem, mr, mw) -> SelectiveHandler:

@@ -112,7 +112,7 @@ def sys_free(machine, thread) -> None:
     In poison mode the allocator fills the block with
     :data:`~repro.vm.memory.HEAP_POISON`; those writes are deposited
     into ``machine._cur_mem_writes`` (the same channel ``spawn`` uses
-    for the child's argument slot), so every engine attributes them to
+    for the child's argument slot), so the tracer attributes them to
     this instruction and a use-after-free slice lands on the freeing
     ``delete`` site through an ordinary memory dependence.
     """

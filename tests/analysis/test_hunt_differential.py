@@ -110,9 +110,9 @@ class TestMinimizedPinball:
         # lenient follower must still drive a complete run.
         runs = [list(run) for run in pinball.schedule]
         mutant = runs[:max(1, len(runs) // 2)] + [[99, 5]]
-        from repro.analysis.hunt import hunt_context, _execute
+        from repro.analysis.hunt import hunt_context, _record_run
         ctx = hunt_context(pinball, program)
-        rerun = _execute(program, PerturbedScheduler(mutant), ctx)
+        rerun = _record_run(program, PerturbedScheduler(mutant), ctx)
         assert rerun.total_steps > 0
 
 

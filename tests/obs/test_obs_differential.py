@@ -46,7 +46,7 @@ def _pipeline(seed):
     program = build_program(seed)
 
     log = RetainingLog()
-    machine = run_machine(program, seed, "predecoded", log)
+    machine = run_machine(program, seed, tool=log)
 
     pinball = record_pinball(program, seed)
     session = SlicingSession(pinball, program)

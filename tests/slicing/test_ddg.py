@@ -41,12 +41,12 @@ int main() {
 """
 
 
-def make_session(options=None, columnar=True, seed=7):
+def make_session(options=None, seed=7):
     program = compile_source(SOURCE, name="ddg-unit")
     pinball = record_region(
         program, RandomScheduler(seed=seed, switch_prob=0.3), RegionSpec(),
         inputs=[5], rand_seed=seed)
-    opts = options or SliceOptions(index="ddg", columnar=columnar)
+    opts = options or SliceOptions(index="ddg")
     return SlicingSession(pinball, program, opts)
 
 
@@ -211,10 +211,8 @@ class TestCriterionReverseIndexes:
         reads.sort()
         return line_best, write_best, reads
 
-    @pytest.mark.parametrize("columnar", (True, False))
-    def test_matches_brute_force(self, columnar):
-        session = make_session(
-            SliceOptions(index="ddg", columnar=columnar), columnar=columnar)
+    def test_matches_brute_force(self):
+        session = make_session()
         line_best, write_best, reads = self.brute_force(session)
         for line, (_gpos, inst) in line_best.items():
             assert session.last_instance_at_line(line) == inst

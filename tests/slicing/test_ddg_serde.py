@@ -40,10 +40,11 @@ class TestFingerprint:
                 == options_fingerprint(SliceOptions()))
 
     def test_build_strategy_fields_are_excluded(self):
-        """Sharded / row-store / cache-tuned builds share one entry."""
+        """Sharded / scan-indexed / cache-tuned builds share one entry."""
         base = options_fingerprint(SliceOptions())
         assert options_fingerprint(SliceOptions(
-            shards=4, columnar=False, slice_cache_size=1)) == base
+            shards=4, index="columnar", block_size=64,
+            slice_cache_size=1)) == base
 
     def test_graph_semantic_fields_change_it(self):
         base = options_fingerprint(SliceOptions())

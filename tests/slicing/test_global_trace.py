@@ -3,17 +3,17 @@
 import pytest
 
 from repro.slicing.global_trace import GlobalTraceError, merge_traces
-from repro.slicing.trace import TraceRecord, TraceStore
+from repro.slicing.trace import ColumnarTraceStore
 
 
 def make_store(lengths):
-    """A store with ``lengths[tid]`` empty records per thread."""
-    store = TraceStore()
+    """A store with ``lengths[tid]`` empty rows per thread."""
+    store = ColumnarTraceStore()
     for tid, length in lengths.items():
+        cols = store.columns_for(tid)
         for tindex in range(length):
-            store.append(TraceRecord(
-                tid=tid, tindex=tindex, addr=tindex, line=None, func="f",
-                rdefs=(), ruses=(), mdefs=(), muses=(), cd=None))
+            store.append_row(cols, (tindex, None, "f", (), ()), (), (),
+                             None, None)
     return store
 
 
@@ -81,7 +81,7 @@ class TestMerge:
         assert len(gtrace) == 9
 
     def test_empty_store(self):
-        gtrace = merge_traces(TraceStore(), [])
+        gtrace = merge_traces(ColumnarTraceStore(), [])
         assert len(gtrace) == 0
 
     def test_record_lookup(self):

@@ -4,17 +4,17 @@ observationally identical to the backward scanners.
 The shared seeded generator (:mod:`tests.support.progen`) synthesizes
 randomized multi-threaded programs (locks, races, loops, branches,
 switches, calls, nondeterministic syscalls).  For every program the same
-recorded region is sliced under all three index engines —
+recorded region is sliced under both materialized index engines —
 
 * ``"ddg"``       — forward-built CSR dependence graph + memoized closures,
 * ``"columnar"``  — backward scan with LP block skipping over columns,
-* ``"rows"``      — backward scan over materialized :class:`TraceRecord`s,
 
-plus an independent row-store session (``columnar=False``), and the
-slices must agree node-for-node and edge-for-edge.  The save/restore
+plus an independent ``columnar`` session (its own traced replay), and
+the slices must agree node-for-node and edge-for-edge.  The save/restore
 bypass (paper Section 5.2) is exercised both enabled and disabled, and
 DDG-derived slice pinballs must replay (exclusion skips, side-effect
-injection) identically to scan-derived ones under both VM engines.
+injection) identically to scan-derived ones on both the predecoded
+machine and the seed interpreter (:mod:`tests.support.seed_vm`).
 """
 
 import pytest
@@ -24,10 +24,11 @@ from repro.pinplay.pinball import state_hash
 from repro.slicing import BackwardSlicer, SliceOptions, SlicingSession
 
 from tests.support.progen import build_program, record_pinball
+from tests.support.seed_vm import seed_interpreter
 
 SEEDS = list(range(12))
 
-INDEXES = ("ddg", "columnar", "rows")
+INDEXES = ("ddg", "columnar")
 
 
 def _record(seed):
@@ -46,18 +47,18 @@ def _assert_same_slice(reference, other, context):
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_all_indexes_agree(seed):
-    """ddg == columnar == rows == row-store scan, for read criteria and
-    for location (global variable) queries."""
+    """ddg == columnar == an independent columnar session, for read
+    criteria and for location (global variable) queries."""
     program, pinball = _record(seed)
-    session = SlicingSession(pinball, program)       # columnar store
+    session = SlicingSession(pinball, program)
     restores = session.collector.save_restore.verified
     slicers = {
         index: BackwardSlicer(session.gtrace, verified_restores=restores,
                               options=SliceOptions(index=index))
         for index in INDEXES
     }
-    row_session = SlicingSession(
-        pinball, program, options=SliceOptions(columnar=False, index="rows"))
+    scan_session = SlicingSession(
+        pinball, program, options=SliceOptions(index="columnar"))
 
     queries = [(criterion, None) for criterion in session.last_reads(5)]
     queries.append((session.last_write_to_global("g0"),
@@ -67,13 +68,12 @@ def test_all_indexes_agree(seed):
 
     for criterion, locations in queries:
         reference = slicers["ddg"].slice(criterion, locations)
-        for index in ("columnar", "rows"):
-            _assert_same_slice(
-                reference, slicers[index].slice(criterion, locations),
-                "seed=%d index=%s criterion=%r" % (seed, index, criterion))
         _assert_same_slice(
-            reference, row_session.slice_for(criterion, locations),
-            "seed=%d row-store criterion=%r" % (seed, criterion))
+            reference, slicers["columnar"].slice(criterion, locations),
+            "seed=%d index=columnar criterion=%r" % (seed, criterion))
+        _assert_same_slice(
+            reference, scan_session.slice_for(criterion, locations),
+            "seed=%d columnar session criterion=%r" % (seed, criterion))
         assert (reference.stats["unresolved_locations"]
                 == slicers["columnar"].slice(criterion, locations)
                 .stats["unresolved_locations"])
@@ -90,13 +90,12 @@ def test_indexes_agree_without_save_restore_bypass(seed):
     restores = session.collector.save_restore.verified
     criterion = session.last_reads(1)[0]
     reference = session.slice_for(criterion)
-    for index in ("columnar", "rows"):
-        other = BackwardSlicer(
-            session.gtrace, verified_restores=restores,
-            options=SliceOptions(prune_save_restore=False, index=index)
-        ).slice(criterion)
-        _assert_same_slice(reference, other,
-                           "seed=%d no-bypass index=%s" % (seed, index))
+    other = BackwardSlicer(
+        session.gtrace, verified_restores=restores,
+        options=SliceOptions(prune_save_restore=False, index="columnar")
+    ).slice(criterion)
+    _assert_same_slice(reference, other,
+                       "seed=%d no-bypass index=columnar" % seed)
 
 
 @pytest.mark.parametrize("seed", SEEDS[::4])
@@ -137,9 +136,9 @@ def test_ddg_slice_pinballs_replay_like_scan_slice_pinballs(seed):
         "kept_instructions"]
 
     machines = {}
-    for engine in ("legacy", "predecoded"):
-        machine, _ = replay(ddg_pb, program, engine=engine, verify=False)
-        machines[engine] = machine
+    machines["predecoded"], _ = replay(ddg_pb, program, verify=False)
+    with seed_interpreter():
+        machines["seed"], _ = replay(ddg_pb, program, verify=False)
     scan_machine, _ = replay(scan_pb, program, verify=False)
     for engine, machine in machines.items():
         assert machine.skipped_exclusions == scan_machine.skipped_exclusions

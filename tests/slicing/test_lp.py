@@ -1,35 +1,42 @@
 """Unit tests for Limited Preprocessing block summaries."""
 
+from repro.slicing.global_trace import merge_traces
 from repro.slicing.lp import TraceBlock, build_blocks
-from repro.slicing.trace import TraceRecord
+from repro.slicing.trace import ColumnarTraceStore
 
 
-def record(tid, tindex, rdefs=(), mdefs=()):
-    return TraceRecord(tid=tid, tindex=tindex, addr=0, line=None, func="f",
-                       rdefs=tuple(rdefs), ruses=(), mdefs=tuple(mdefs),
-                       muses=(), cd=None)
+def order_of(rows):
+    """The merged global order of ``(tid, rdefs, mdefs)`` rows."""
+    store = ColumnarTraceStore()
+    for tid, rdefs, mdefs in rows:
+        store.append_row(store.columns_for(tid),
+                         (0, None, "f", tuple(rdefs), ()), tuple(mdefs), (),
+                         None, None)
+    return merge_traces(store, []).order
+
+
+def plain(count):
+    return order_of([(0, (), ())] * count)
 
 
 class TestBuildBlocks:
     def test_partitioning(self):
-        order = [record(0, i) for i in range(10)]
-        blocks = build_blocks(order, block_size=4)
+        blocks = build_blocks(plain(10), block_size=4)
         assert [(b.start, b.end) for b in blocks] == [(0, 4), (4, 8), (8, 10)]
 
     def test_exact_multiple(self):
-        order = [record(0, i) for i in range(8)]
-        blocks = build_blocks(order, block_size=4)
+        blocks = build_blocks(plain(8), block_size=4)
         assert [(b.start, b.end) for b in blocks] == [(0, 4), (4, 8)]
 
     def test_empty_trace(self):
-        assert build_blocks([], block_size=4) == []
+        assert build_blocks(plain(0), block_size=4) == []
 
     def test_summaries_collect_defs(self):
-        order = [
-            record(0, 0, rdefs=("r0",)),
-            record(0, 1, mdefs=(100,)),
-            record(1, 0, rdefs=("r0",)),
-        ]
+        order = order_of([
+            (0, ("r0",), ()),
+            (0, (), (100,)),
+            (1, ("r0",), ()),
+        ])
         blocks = build_blocks(order, block_size=10)
         assert blocks[0].defs == {
             ("r", 0, "r0"), ("m", 100), ("r", 1, "r0")}

@@ -37,13 +37,13 @@ class TestIndexSelection:
         assert SliceOptions().index == "ddg"
 
     def test_env_var_overrides_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SLICE_INDEX", "rows")
-        assert SliceOptions().index == "rows"
+        monkeypatch.setenv("REPRO_SLICE_INDEX", "reexec")
+        assert SliceOptions().index == "reexec"
         monkeypatch.setenv("REPRO_SLICE_INDEX", "columnar")
         assert SliceOptions().index == "columnar"
 
     def test_explicit_index_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SLICE_INDEX", "rows")
+        monkeypatch.setenv("REPRO_SLICE_INDEX", "columnar")
         assert SliceOptions(index="ddg").index == "ddg"
 
     def test_unknown_index_rejected(self):
@@ -60,3 +60,9 @@ class TestIndexSelection:
         options = SliceOptions(slice_cache_size=0, closure_memo_size=0)
         assert options.slice_cache_size == 0
         assert options.closure_memo_size == 0
+
+    def test_removed_layout_and_index_rejected(self):
+        with pytest.raises(ValueError):
+            SliceOptions(index="rows")
+        with pytest.raises(TypeError):
+            SliceOptions(columnar=True)

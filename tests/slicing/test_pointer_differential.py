@@ -6,7 +6,7 @@ from ``new`` flowing through ``->`` loads (so memory dependences chain
 through pointer registers), recursive call frames, ``delete``'s
 allocator effects, and struct-value locals.  For each seed and pinball
 format the ``ddg``/``shards=1`` build is the reference; the sharded
-build, both alternative index layouts (``columnar``, ``rows``) and the
+build, the LP backward-scan index (``columnar``) and the
 on-demand re-execution engine (``reexec``, unsharded by design) must
 produce canonically identical slices and byte-identical relogged
 slice pinballs."""
@@ -30,8 +30,6 @@ COMBOS = [
     ("ddg", 2),
     ("columnar", 1),
     ("columnar", 2),
-    ("rows", 1),
-    ("rows", 2),
     ("reexec", 1),
 ]
 
@@ -57,8 +55,8 @@ def _session(program, pinball, index, shards):
 
 def _canonical(dslice):
     """Canonical serialization: ``to_dict`` minus engine stats, with
-    node/edge lists sorted (index layouts emit them in store order,
-    which differs between the columnar and row stores)."""
+    node/edge lists sorted (the scan and graph engines emit them in
+    different orders)."""
     payload = dslice.to_dict()
     payload.pop("stats")
     payload["nodes"] = sorted(payload["nodes"],

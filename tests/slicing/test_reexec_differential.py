@@ -54,16 +54,13 @@ def _record(seed, fmt):
 def _sessions(program, pinball, **option_kwargs):
     """(ddg reference session, true-reexec session) over one recording.
 
-    The engine is pinned to ``predecoded`` so the reexec gate holds even
-    under a ``REPRO_ENGINE`` CI rider — the point of this suite is the
-    reexec path itself, not its fallback.
+    The reexec session must not fall back — the point of this suite is
+    the reexec path itself, not its fallback.
     """
     ddg = SlicingSession(pinball, program,
-                         SliceOptions(index="ddg", **option_kwargs),
-                         engine="predecoded")
+                         SliceOptions(index="ddg", **option_kwargs))
     reexec = SlicingSession(pinball, program,
-                            SliceOptions(index="reexec", **option_kwargs),
-                            engine="predecoded")
+                            SliceOptions(index="reexec", **option_kwargs))
     assert reexec._reexec is not None, "reexec session fell back"
     return ddg, reexec
 

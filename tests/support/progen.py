@@ -260,12 +260,14 @@ def inputs_for(seed: int):
     return [seed % 11]
 
 
-def run_machine(program, seed: int, engine: str = "predecoded", tool=None,
+def run_machine(program, seed: int, machine_class=Machine, tool=None,
                 **kwargs) -> Machine:
-    """Run ``program`` to completion under the canonical seed setup."""
-    machine = Machine(program, scheduler=scheduler_for(seed),
-                      inputs=inputs_for(seed), rand_seed=seed,
-                      engine=engine, **kwargs)
+    """Run ``program`` to completion under the canonical seed setup
+    (``machine_class``: e.g. the seed interpreter of
+    :mod:`tests.support.seed_vm`)."""
+    machine = machine_class(program, scheduler=scheduler_for(seed),
+                            inputs=inputs_for(seed), rand_seed=seed,
+                            **kwargs)
     if tool is not None:
         machine.add_tool(tool)
     machine.run(max_steps=STEP_CAP)

@@ -2,8 +2,8 @@
 
 Extended for the unified-surface redesign: the blessed top-level
 ``__all__`` (including the serve client and the config resolver), the
-deprecated-alias shims (module ``__getattr__``) that must warn exactly
-once per use, and the ``repro.config`` precedence knobs.
+removal of the expired pre-1.0 aliases and slice keywords, and the
+``repro.config`` precedence knobs.
 """
 
 import importlib
@@ -41,27 +41,63 @@ class TestTopLevel:
 
     def test_config_is_the_resolver_module(self):
         assert repro.config.slice_shards() >= 1
-        assert repro.config.slice_index() in ("ddg", "columnar", "rows", "reexec")
+        assert repro.config.slice_index() in ("ddg", "columnar", "reexec")
+
+
+#: Pre-1.0 top-level spellings, removed after their deprecation cycle.
+REMOVED_ALIASES = {
+    "record_pinball": "record_region",
+    "replay_pinball": "replay",
+    "SliceSession": "SlicingSession",
+    "races": "detect_races",
+}
 
 
 class TestDeprecatedAliases:
-    @pytest.mark.parametrize("old,new", sorted(
-        repro._DEPRECATED_ALIASES.items()))
-    def test_alias_warns_and_resolves(self, old, new):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            value = getattr(repro, old)
-        assert value is getattr(repro, new)
-        assert any(issubclass(w.category, DeprecationWarning)
-                   and old in str(w.message) for w in caught)
+    @pytest.mark.parametrize("old,new", sorted(REMOVED_ALIASES.items()))
+    def test_alias_removed(self, old, new):
+        with pytest.raises(AttributeError):
+            getattr(repro, old)
+        assert new in repro.__all__
 
     def test_aliases_stay_out_of_all(self):
-        for old in repro._DEPRECATED_ALIASES:
+        for old in REMOVED_ALIASES:
             assert old not in repro.__all__
 
     def test_unknown_attribute_still_raises(self):
         with pytest.raises(AttributeError):
             repro.definitely_not_an_api  # noqa: B018
+
+    def test_removed_slice_keywords_raise_type_error(self, fig5):
+        from repro.slicing import SliceOptions
+        program, pinball, _seed = fig5
+        session = repro.SlicingSession(pinball, program,
+                                       SliceOptions(index="ddg"))
+        criterion = session.last_write_to_global("x")
+        with pytest.raises(TypeError):
+            session.slice_for_global(name="x")
+        with pytest.raises(TypeError):
+            session.slice_for_global("x", criterion=criterion)
+        debugger = repro.DrDebugSession(pinball, program)
+        with pytest.raises(TypeError):
+            debugger.slice_for_variable(name="x")
+        assert not hasattr(repro.deprecation, "deprecated_kwarg")
+
+    def test_engine_accepts_only_predecoded(self, fig5):
+        program, pinball, _seed = fig5
+        assert repro.config.engine() == "predecoded"
+        assert repro.config.engine(explicit="predecoded") == "predecoded"
+        repro.replay(pinball, program, engine="predecoded")
+        with pytest.raises(ValueError):
+            repro.config.engine(explicit="legacy")
+        with pytest.raises(ValueError):
+            repro.replay(pinball, program, engine="legacy")
+        with pytest.raises(ValueError):
+            repro.SlicingSession(pinball, program, engine="legacy")
+        with pytest.raises(ValueError):
+            repro.record_region(program, repro.RandomScheduler(seed=1),
+                                engine="legacy")
+        assert "REPRO_ENGINE" not in repro.config.precedence_table()
 
 
 SUBPACKAGES = [
