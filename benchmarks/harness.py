@@ -114,7 +114,7 @@ def measure_peak_rss(fn, *args, **kwargs):
 
 
 # ---------------------------------------------------------------------------
-# Parallel-speedup bar gating (shared by the serve and shard benchmarks)
+# Parallel-speedup bar gating (shared by the serve and loadgen benchmarks)
 # ---------------------------------------------------------------------------
 
 def available_cpus() -> int:

@@ -36,10 +36,9 @@ Quickstart::
 
 This module is the *stable* public surface: everything in ``__all__``
 is blessed, everything else should be imported from its subpackage and
-may move.  Configuration (slice index, shard count, observability,
-pool width) resolves through :mod:`repro.config` with one precedence
-rule: explicit argument > CLI flag > ``REPRO_*`` environment variable >
-default.
+may move.  Configuration (slice index, observability, pool width)
+resolves through :mod:`repro.config` with one precedence rule: explicit
+argument > CLI flag > ``REPRO_*`` environment variable > default.
 """
 
 __version__ = "1.0.0"

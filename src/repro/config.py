@@ -14,7 +14,7 @@ all of those with a single table of knobs and one precedence rule.
 1. **explicit argument** — a value passed directly to a constructor or
    function (``SliceOptions(index="columnar")``,
    ``WorkerPool(workers=4)``);
-2. **CLI flag** — the command line (``--shards``, ``--obs``,
+2. **CLI flag** — the command line (``--index``, ``--obs``,
    ``--workers``).  The CLI resolves flags through :func:`resolve`
    before constructing anything, so lower layers never see argparse;
 3. **environment variable** — the ``REPRO_*`` family (how the CI matrix
@@ -27,7 +27,6 @@ The knobs:
 environment variable      resolver                   type        default
 ========================  =========================  ==========  =======
 ``REPRO_SLICE_INDEX``     :func:`slice_index`        choice      ``ddg``
-``REPRO_SLICE_SHARDS``    :func:`slice_shards`       int >= 1    ``1``
 ``REPRO_OBS``             :func:`obs_enabled`        bool        ``False``
 ``REPRO_SERVE_WORKERS``   :func:`serve_workers`      int >= 1    ``2``
 ``REPRO_PERF_SMOKE``      :func:`perf_smoke`         bool        ``False``
@@ -53,7 +52,9 @@ Semantics, uniform across every knob:
 :func:`engine` is not a knob: the predecoded micro-op interpreter is the
 only one, so it returns ``"predecoded"`` and rejects any other explicit
 value.  It stays so callers that pin ``engine="predecoded"`` keep
-working.
+working.  :func:`slice_shards` has the same shape: a slicing session
+builds its trace with one serial traced replay, so it returns ``1`` and
+rejects any other explicit or CLI value.
 
 This module deliberately imports nothing from the rest of ``repro`` so
 every layer (including :mod:`repro.obs.registry`, which consults it at
@@ -158,9 +159,6 @@ KNOBS: Dict[str, Knob] = {
         Knob("slice_index", "REPRO_SLICE_INDEX", "ddg", _identity,
              _choice(_SLICE_INDEXES),
              doc="slice-query engine (DDG, backward scans, or reexec)"),
-        Knob("slice_shards", "REPRO_SLICE_SHARDS", 1, _parse_int,
-             _positive,
-             doc="regions traced in parallel by SlicingSession (1=serial)"),
         Knob("obs", "REPRO_OBS", False, _parse_bool,
              doc="process-wide observability registry on/off"),
         Knob("serve_workers", "REPRO_SERVE_WORKERS", 2, _parse_int,
@@ -238,8 +236,20 @@ def slice_index(explicit: Optional[str] = None,
 
 def slice_shards(explicit: Optional[int] = None,
                  cli: Optional[int] = None) -> int:
-    """Trace/DDG shard count for :class:`SlicingSession` (1 = serial)."""
-    return resolve("slice_shards", explicit, cli)
+    """The trace shard count: always ``1``.
+
+    The one validation point for the ``shards`` spellings that stay
+    accepted (``SliceOptions(shards=1)``, ``repro serve --shards 1``, a
+    served ``slice``/``build`` request's ``shards`` param): ``None`` or
+    ``1`` pass, anything else raises :class:`ValueError`.
+    """
+    for source, value in (("argument", explicit), ("cli", cli)):
+        if value is not None and (isinstance(value, bool) or value != 1):
+            raise ValueError(
+                "slice_shards (from %s): must be 1 (a slicing session "
+                "traces the region with one serial replay), got %r"
+                % (source, value))
+    return 1
 
 
 def obs_enabled(explicit: Optional[bool] = None,

@@ -55,7 +55,7 @@ def run_demo_cycle() -> dict:
     from repro.lang import compile_source
     from repro.maple import expose_and_record
     from repro.pinplay import replay
-    from repro.slicing import SlicingSession
+    from repro.slicing import SliceOptions, SlicingSession
 
     with registry.scope(enabled=True):
         program = compile_source(DEMO_SOURCE, name="obs_demo")
@@ -69,8 +69,12 @@ def run_demo_cycle() -> dict:
         # PinPlay: deterministic replay of the captured region.
         replay(pinball, program)
 
-        # Slicing: traced replay, failure slice, slice pinball.
-        session = SlicingSession(pinball, program)
+        # Slicing: traced replay, failure slice, slice pinball.  The
+        # plain and served sessions pin the DDG index: it is the one the
+        # index cache persists, so the ``index_cache`` layer counts
+        # whatever ``REPRO_SLICE_INDEX`` says.
+        ddg = SliceOptions(index="ddg")
+        session = SlicingSession(pinball, program, ddg)
         dslice = session.slice_for(session.failure_criterion())
         slice_pinball = session.make_slice_pinball(dslice)
         replay(slice_pinball, program, verify=False)
@@ -78,7 +82,6 @@ def run_demo_cycle() -> dict:
         # Re-execution slicing: the same failure query answered by
         # checkpoint-bounded window re-replays over the pinball instead
         # of a resident full trace (``--index reexec``).
-        from repro.slicing import SliceOptions
         reexec = SlicingSession(pinball, program,
                                 SliceOptions(index="reexec"))
         reexec.slice_for(reexec.failure_criterion())
@@ -115,7 +118,8 @@ def run_demo_cycle() -> dict:
                                     meta={"source_sha": source_sha})
             # Re-putting the identical recording dedups to the same key.
             store.put_pinball(pinball, meta={"source_sha": source_sha})
-            manager = SessionManager(store, max_entries=2)
+            manager = SessionManager(store, max_entries=2,
+                                     slice_options=ddg)
             resident = manager.open(key, source_sha, "obs_demo")  # miss
             manager.open(key, source_sha, "obs_demo")             # hit
             resident.slice_for(resident.failure_criterion())

@@ -140,12 +140,11 @@ class Pinball:
         """The latest embedded checkpoint at or before region step
         ``steps`` (None when the pinball carries none that early).
 
-        The one checkpoint-selection primitive: every consumer (the
-        replayer's resume path, the shard scout, the debugger's rewind,
-        the reexec slicer's window passes) binary-searches the same
-        cached ascending index instead of scanning CHECKPOINT frames
-        independently.  The cache key guards rebinding and appends,
-        the two ways the list could change after construction.
+        The one checkpoint-selection primitive: the debugger's seek and
+        rewind binary-search the same cached ascending index instead of
+        scanning CHECKPOINT frames independently.  The cache key guards
+        rebinding and appends, the two ways the list could change after
+        construction.
         """
         checkpoints = self.checkpoints
         if not checkpoints:

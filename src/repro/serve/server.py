@@ -32,6 +32,7 @@ import time
 from functools import partial
 from typing import Optional
 
+from repro import config
 from repro.obs.registry import OBS
 from repro.pinplay.pinball import Pinball, PinballFormatError
 from repro.serve import rpc
@@ -91,21 +92,11 @@ class DebugServer:
         self.host = host
         self.port = port
         self.max_request_bytes = max_request_bytes
-        # Shard-capable pools need non-daemonic workers: a worker whose
-        # resident sessions build with ``SliceOptions(shards>1)`` forks
-        # the region-shard tracer processes itself, and multiprocessing
-        # forbids daemons from having children.  (A daemonic worker that
-        # receives a per-request ``shards`` anyway falls back to the
-        # serial build — counted under ``slicing.shard/fallbacks``.)
-        from repro import config as _config
-        effective_shards = (slice_options.shards if slice_options is not None
-                            else _config.slice_shards())
         self.pool = WorkerPool(store_root=store_root, workers=workers,
                                queue_limit=queue_limit,
                                default_timeout=request_timeout,
                                lru_entries=lru_entries, lru_bytes=lru_bytes,
-                               obs=OBS.enabled, slice_options=slice_options,
-                               daemon=effective_shards <= 1)
+                               obs=OBS.enabled, slice_options=slice_options)
         self._server: Optional[asyncio.AbstractServer] = None
         self._shutdown = asyncio.Event()
         self.counts = {"connections": 0, "requests": 0, "errors": 0}
@@ -280,6 +271,13 @@ class DebugServer:
         out["program_name"] = entry.meta.get("program_name", "program")
         return out
 
+    def _session_params(self, params: dict) -> dict:
+        """:meth:`_recording_params` for the verbs that open a slicing
+        session.  A ``shards`` param other than 1 raises ValueError
+        (INVALID_PARAMS) before any worker sees the request."""
+        config.slice_shards(explicit=params.get("shards"))
+        return self._recording_params(params)
+
     # -- service verbs -----------------------------------------------------
 
     async def _rpc_ping(self, params: dict) -> dict:
@@ -330,7 +328,7 @@ class DebugServer:
                                      key=worker_params["pinball"])
 
     async def _rpc_slice(self, params: dict) -> dict:
-        worker_params = self._recording_params(params)
+        worker_params = self._session_params(params)
         result = await self._pool_call("slice", worker_params,
                                        key=worker_params["pinball"])
         raw = result.pop("slice_pinball_raw", None)
@@ -347,7 +345,7 @@ class DebugServer:
         return result
 
     async def _rpc_last_reads(self, params: dict) -> dict:
-        worker_params = self._recording_params(params)
+        worker_params = self._session_params(params)
         return await self._pool_call("last_reads", worker_params,
                                      key=worker_params["pinball"])
 
@@ -357,7 +355,7 @@ class DebugServer:
                                      key=worker_params["pinball"])
 
     async def _rpc_build(self, params: dict) -> dict:
-        worker_params = self._recording_params(params)
+        worker_params = self._session_params(params)
         return await self._pool_call("build", worker_params,
                                      key=worker_params["pinball"])
 

@@ -260,8 +260,7 @@ def _dispatch(op: str, params: dict, store, manager):
                 "pinball_raw": pinball.to_bytes(compress=False)}
 
     session = manager.open(key, source, program_name=name,
-                           index=params.get("index"),
-                           shards=params.get("shards"))
+                           index=params.get("index"))
     if op == "build":
         # trace_record_count() answers without materializing the trace,
         # which matters for reexec sessions (no full trace resident).
@@ -328,34 +327,13 @@ class WorkerPool:
                  lru_entries: int = 4,
                  lru_bytes: int = 512 * 1024 * 1024,
                  obs: bool = False,
-                 slice_options=None,
-                 worker_target=None,
-                 worker_config: Optional[dict] = None,
-                 name: str = "serve",
-                 daemon: bool = True) -> None:
+                 slice_options=None) -> None:
         self.store_root = store_root
         self.workers = workers if workers is not None else default_workers()
         self.queue_limit = queue_limit
         self.default_timeout = default_timeout
-        #: The function each worker process runs.  Defaults to the debug
-        #: service loop (:func:`_worker_main`); other subsystems reuse the
-        #: pool mechanics (bounded queue, deadlines, crash respawn) by
-        #: supplying their own module-level target with the same
-        #: ``(worker_id, task_q, result_q, store_root, config)``
-        #: signature — the region-shard tracer
-        #: (:mod:`repro.slicing.shard`) is one.
-        self._worker_target = worker_target or _worker_main
-        self._name = name
-        #: Daemonic workers die with the parent (the right default for a
-        #: service), but ``multiprocessing`` forbids a daemon from having
-        #: children of its own — a serve pool whose sessions build with
-        #: ``SliceOptions(shards>1)`` must pass ``daemon=False`` so its
-        #: workers can fork the region-shard tracers.
-        self._daemon = daemon
         self._config = {"lru_entries": lru_entries, "lru_bytes": lru_bytes,
                         "obs": obs, "slice_options": slice_options}
-        if worker_config:
-            self._config.update(worker_config)
         self._ctx = mp.get_context()
         self._task_qs = []
         self._procs = []
@@ -381,8 +359,7 @@ class WorkerPool:
             self._task_qs.append(self._ctx.Queue())
             self._procs.append(self._spawn(worker_id))
         self._collector = threading.Thread(target=self._collect_loop,
-                                           name="%s-pool-collector"
-                                           % self._name,
+                                           name="serve-pool-collector",
                                            daemon=True)
         self._collector.start()
         self.started = True
@@ -390,11 +367,11 @@ class WorkerPool:
 
     def _spawn(self, worker_id: int):
         proc = self._ctx.Process(
-            target=self._worker_target,
+            target=_worker_main,
             args=(worker_id, self._task_qs[worker_id], self._result_q,
                   self.store_root, self._config),
-            name="%s-worker-%d" % (self._name, worker_id),
-            daemon=self._daemon)
+            name="serve-worker-%d" % worker_id,
+            daemon=True)
         proc.start()
         return proc
 

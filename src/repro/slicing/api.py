@@ -10,9 +10,9 @@ replay entirely: a :class:`~repro.slicing.reexec.ReexecIndex` scaffold
 pass (selective tracing, near-untraced speed) seeds the session, and each
 query re-replays only the checkpoint-bounded windows it needs — peak
 memory proportional to the slice, not the region.  Configurations the
-reexec engine does not cover (sharded builds, exclusion pinballs,
-programs the selective decoder rejects) fall back to the materialized
-pipeline transparently, answering with identical bytes.
+reexec engine does not cover (exclusion pinballs, programs the
+selective decoder rejects) fall back to the materialized pipeline
+transparently, answering with identical bytes.
 """
 
 from __future__ import annotations
@@ -77,16 +77,13 @@ class SlicingSession:
 
     def __init__(self, pinball: Pinball, program: Program,
                  options: Optional[SliceOptions] = None,
-                 engine: Optional[str] = None,
-                 shard_boundaries: Optional[Sequence[int]] = None) -> None:
+                 engine: Optional[str] = None) -> None:
         config.engine(explicit=engine)
         self.pinball = pinball
         self.program = program
         self.options = options or SliceOptions()
         if self.options.obs:
             OBS.enable()
-        #: Diagnostics of the region-sharded build (None while serial).
-        self.shard_plan = None
         #: The materialized pipeline's state (collector + merged trace).
         #: For reexec sessions these stay None until a consumer actually
         #: needs the full trace (the :attr:`collector` / :attr:`gtrace`
@@ -99,11 +96,8 @@ class SlicingSession:
         #: branch on it so no trace is ever materialized.
         self._frozen: Optional[FrozenIndex] = None
 
-        reexec_wanted = (
-            self.options.index == "reexec"
-            and self.options.shards == 1
-            and shard_boundaries is None
-            and not pinball.exclusions)
+        reexec_wanted = (self.options.index == "reexec"
+                         and not pinball.exclusions)
         # The phase timers live in the observability registry
         # (``slicing.trace`` / ``slicing.preprocess`` spans); a Span
         # measures whether or not the registry is enabled, so the public
@@ -125,21 +119,9 @@ class SlicingSession:
             self.slicer = self._reexec
         else:
             with OBS.span("slicing.trace") as trace_span:
-                sharded = None
-                if self.options.shards > 1 or shard_boundaries is not None:
-                    from repro.slicing.shard import ShardPlan, trace_sharded
-                    self.shard_plan = ShardPlan(self.options.shards, [])
-                    sharded = trace_sharded(
-                        pinball, program, self.options,
-                        boundaries=shard_boundaries, plan_out=self.shard_plan)
-                if sharded is not None:
-                    self._collector, self.machine, self.replay_result = \
-                        sharded
-                else:
-                    self._collector = TraceCollector(program, self.options)
-                    self.machine, self.replay_result = replay(
-                        pinball, program, tools=[self._collector],
-                        verify=False)
+                self._collector = TraceCollector(program, self.options)
+                self.machine, self.replay_result = replay(
+                    pinball, program, tools=[self._collector], verify=False)
             self.trace_time = trace_span.elapsed
 
             with OBS.span("slicing.preprocess") as prep_span:
@@ -182,7 +164,6 @@ class SlicingSession:
         session.options = options or SliceOptions()
         if session.options.obs:
             OBS.enable()
-        session.shard_plan = None
         session._collector = None
         session._gtrace = None
         session._reexec = None
@@ -413,7 +394,6 @@ class SlicingSession:
                 "preprocess_time_sec": self.preprocess_time,
                 "mem_order_edges": len(self.pinball.mem_order),
                 "threads": len(self._frozen._columns),
-                "shards": self.options.shards,
             }
             out.update(self.slicer.index_stats())
             return out
@@ -428,7 +408,6 @@ class SlicingSession:
                 "verified_save_restore_pairs":
                     self._reexec.save_restore.pair_count,
                 "threads": self._reexec.threads(),
-                "shards": self.options.shards,
             }
             out.update(self._reexec.index_stats())
             return out
@@ -442,10 +421,7 @@ class SlicingSession:
             "verified_save_restore_pairs":
                 self.collector.save_restore.pair_count,
             "threads": self.collector.store.threads(),
-            "shards": self.options.shards,
         }
-        if self.shard_plan is not None:
-            out["shard_plan"] = self.shard_plan.to_dict()
         # Amortization counters for the build-once DDG engine (zeros for
         # the scan engines, and until the first DDG query builds it).
         out.update(self.slicer.index_stats())

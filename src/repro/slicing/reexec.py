@@ -62,7 +62,6 @@ from repro.pinplay.replayer import SyscallInjector, resume_machine
 from repro.slicing.global_trace import GlobalTraceError
 from repro.slicing.options import SliceOptions
 from repro.slicing.save_restore import SaveRestoreDetector
-from repro.slicing.shard import plan_boundaries
 from repro.slicing.slice import DynamicSlice, SliceNode
 from repro.slicing.trace import Instance, Location
 from repro.slicing.tracer import prime_jump_tables
@@ -85,6 +84,18 @@ _MAX_SYNTH_WINDOWS = 16
 
 #: Opcodes that read memory on every retire (the ``last_reads`` index).
 _MEM_READERS = frozenset((Opcode.LD, Opcode.POP, Opcode.RET))
+
+
+def plan_boundaries(total_steps: int, windows: int) -> List[int]:
+    """Evenly spaced interior step boundaries splitting ``total_steps``
+    into ``windows`` contiguous windows (strictly increasing, each in
+    ``(0, total_steps)``)."""
+    bounds: List[int] = []
+    for i in range(1, windows):
+        b = total_steps * i // windows
+        if 0 < b < total_steps and (not bounds or b > bounds[-1]):
+            bounds.append(b)
+    return bounds
 
 
 def _derive_reg_sets(instr, track_sp: bool) -> Tuple[tuple, tuple]:

@@ -102,7 +102,7 @@ class ThreadContext:
                 for f in self.frames
             ],
             "next_frame_id": self._next_frame_id,
-            # Mid-region snapshots (checkpoints, shard boundaries) may be
+            # Mid-region snapshots (checkpoints, reexec windows) may be
             # taken after this thread exited; a later ``join`` must still
             # observe the recorded exit value.
             "exit_value": self.exit_value,

@@ -91,8 +91,8 @@ class TestServiceVerbs:
     def test_races_finds_the_lost_update(self, server, client):
         _live, key, _source = server
         result = client.races(key)
-        assert result["race_count"] >= 1
-        assert any("x" in row["description"] for row in result["races"])
+        assert result["finding_count"] >= 1
+        assert any("x" in row["description"] for row in result["findings"])
 
     def test_build(self, server, client):
         _live, key, _source = server

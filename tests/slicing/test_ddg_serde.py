@@ -26,7 +26,7 @@ def built():
     """One cold session with its DDG index built, plus the frozen blob."""
     program = build_program(SEED)
     pinball = record_pinball(program, SEED)
-    options = SliceOptions()
+    options = SliceOptions(index="ddg")
     session = SlicingSession(pinball, program, options)
     index = session.slicer.ddg
     fingerprint = options_fingerprint(options)
@@ -39,11 +39,16 @@ class TestFingerprint:
         assert (options_fingerprint(SliceOptions())
                 == options_fingerprint(SliceOptions()))
 
+    def test_default_fingerprint_is_pinned(self):
+        """Index blobs cached under earlier releases keep warm-starting:
+        the default fingerprint is a persisted cache key."""
+        assert options_fingerprint(SliceOptions()) == "7a30fb99d9661548"
+
     def test_build_strategy_fields_are_excluded(self):
-        """Sharded / scan-indexed / cache-tuned builds share one entry."""
+        """Scan-indexed / cache-tuned builds share one entry."""
         base = options_fingerprint(SliceOptions())
         assert options_fingerprint(SliceOptions(
-            shards=4, index="columnar", block_size=64,
+            index="columnar", block_size=64,
             slice_cache_size=1)) == base
 
     def test_graph_semantic_fields_change_it(self):

@@ -12,7 +12,7 @@ Over the shared randomized corpus (:mod:`tests.support.progen`, ≥12
 seeds) and both pinball formats —
 
 * **v1** (monolithic, no embedded checkpoints → reexec synthesizes its
-  own window boundaries with a scout replay), and
+  own window boundaries during its scaffold replay), and
 * **v2** (streamed container recorded with a small checkpoint interval →
   many genuine embedded-checkpoint windows),
 

@@ -186,7 +186,8 @@ class TestRaces:
         from repro.analysis.report import validate_report
         validate_report(payload)
         assert payload["kind"] == "races"
-        assert payload["race_count"] == payload["finding_count"]
+        assert payload["finding_count"] == len(payload["findings"])
+        assert "race_count" not in payload and "races" not in payload
 
 
 #: Exit-code contract for the analysis verbs: 2 exactly when the

@@ -2,16 +2,21 @@
 
 Extended for the unified-surface redesign: the blessed top-level
 ``__all__`` (including the serve client and the config resolver), the
-removal of the expired pre-1.0 aliases and slice keywords, and the
-``repro.config`` precedence knobs.
+removal of the expired pre-1.0 aliases, slice keywords and report-field
+spellings, the ``repro.config`` precedence knobs, and the ``shards``
+spellings that accept only 1.
 """
 
 import importlib
-import warnings
 
 import pytest
 
 import repro
+from repro.cli import main
+from repro.serve import DebugClient, rpc
+
+from tests.serve.conftest import RACY_SOURCE, record_racy_pinball, \
+    running_server
 
 
 class TestTopLevel:
@@ -40,7 +45,7 @@ class TestTopLevel:
         assert repro.record is repro.record_region
 
     def test_config_is_the_resolver_module(self):
-        assert repro.config.slice_shards() >= 1
+        assert repro.config.slice_shards() == 1
         assert repro.config.slice_index() in ("ddg", "columnar", "reexec")
 
 
@@ -81,7 +86,6 @@ class TestDeprecatedAliases:
         debugger = repro.DrDebugSession(pinball, program)
         with pytest.raises(TypeError):
             debugger.slice_for_variable(name="x")
-        assert not hasattr(repro.deprecation, "deprecated_kwarg")
 
     def test_engine_accepts_only_predecoded(self, fig5):
         program, pinball, _seed = fig5
@@ -104,7 +108,7 @@ SUBPACKAGES = [
     "repro.isa", "repro.lang", "repro.vm", "repro.pinplay",
     "repro.analysis", "repro.slicing", "repro.debugger", "repro.maple",
     "repro.detect", "repro.workloads", "repro.cli",
-    "repro.serve", "repro.obs", "repro.config", "repro.deprecation",
+    "repro.serve", "repro.obs", "repro.config",
 ]
 
 
@@ -136,10 +140,10 @@ class TestConfigKnobs:
             assert knob.coerce(knob.default, "default") == knob.default
 
     def test_precedence_explicit_beats_cli_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SLICE_SHARDS", "3")
-        assert repro.config.slice_shards() == 3
-        assert repro.config.slice_shards(cli=5) == 5
-        assert repro.config.slice_shards(explicit=7, cli=5) == 7
+        monkeypatch.setenv("REPRO_HUNT_BUDGET", "3")
+        assert repro.config.hunt_budget() == 3
+        assert repro.config.hunt_budget(cli=5) == 5
+        assert repro.config.hunt_budget(explicit=7, cli=5) == 7
 
     def test_invalid_env_raises_loudly(self, monkeypatch):
         monkeypatch.setenv("REPRO_SLICE_INDEX", "quantum")
@@ -150,6 +154,87 @@ class TestConfigKnobs:
         table = repro.config.precedence_table()
         for knob in repro.config.KNOBS.values():
             assert knob.env in table
+
+
+class TestShardsAcceptOnlyOne:
+    """Slicing traces with one serial replay: every ``shards`` spelling
+    that remains accepts 1 and rejects anything else, naming the value."""
+
+    def test_slice_shards_is_not_a_knob(self, monkeypatch):
+        assert "slice_shards" not in repro.config.KNOBS
+        assert "REPRO_SLICE_SHARDS" not in repro.config.precedence_table()
+        monkeypatch.setenv("REPRO_SLICE_SHARDS", "4")
+        assert repro.config.slice_shards() == 1
+        assert repro.SliceOptions().shards == 1
+
+    @pytest.mark.parametrize("kwargs,shown", [
+        ({"explicit": 2}, "got 2"),
+        ({"cli": 0}, "got 0"),
+        ({"explicit": -1}, "got -1"),
+        ({"explicit": True}, "got True"),
+        ({"explicit": "1"}, "got '1'"),
+        ({"explicit": 1, "cli": 3}, "got 3"),
+    ])
+    def test_resolver_rejects_other_values(self, kwargs, shown):
+        with pytest.raises(ValueError, match="slice_shards") as caught:
+            repro.config.slice_shards(**kwargs)
+        assert shown in str(caught.value)
+
+    @pytest.mark.parametrize("shards", [0, 2, 4])
+    def test_slice_options_rejects_other_values(self, shards):
+        with pytest.raises(ValueError, match="got %d" % shards):
+            repro.SliceOptions(shards=shards)
+
+    def test_perfbench_spellings_of_one_still_work(self, monkeypatch,
+                                                   tmp_path):
+        assert repro.config.slice_shards(explicit=1) == 1
+        assert repro.SliceOptions(index="ddg", shards=1) == \
+            repro.SliceOptions(index="ddg")
+        served = []
+        monkeypatch.setattr("repro.cli.run_server",
+                            lambda server, **kw: served.append(server))
+        assert main(["serve", "--store", str(tmp_path / "s"), "--port",
+                     "0", "--workers", "1", "--shards", "1"]) == 0
+        assert len(served) == 1 and not served[0].pool.started
+
+    def test_serve_rejects_before_starting_anything(self, monkeypatch,
+                                                    tmp_path, capsys):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("server constructed for --shards 2")
+        monkeypatch.setattr("repro.cli.DebugServer", forbidden)
+        monkeypatch.setattr("repro.cli.run_server", forbidden)
+        code = main(["serve", "--store", str(tmp_path / "s"),
+                     "--shards", "2"])
+        err = capsys.readouterr().err
+        assert code == 65
+        assert "slice_shards" in err and "got 2" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "s").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["slice", "p.mc", "p.pinball", "--shards", "2"],
+        ["debug", "p.mc", "p.pinball", "--shards", "2"],
+        ["client", "slice", "somekey", "--shards", "2"],
+    ])
+    def test_other_shards_flags_are_gone(self, argv, capsys):
+        with pytest.raises(SystemExit) as caught:
+            main(argv)
+        assert caught.value.code == 2
+        assert "unrecognized arguments: --shards" in capsys.readouterr().err
+
+    def test_served_slice_rejects_other_values(self, tmp_path):
+        _program, pinball = record_racy_pinball()
+        with running_server(tmp_path / "store", workers=1) as live:
+            with DebugClient(port=live.port, timeout=60) as client:
+                key = client.put_recording(
+                    RACY_SOURCE, pinball.to_bytes(compress=False),
+                    program_name="racy")["key"]
+                for verb in ("slice", "build", "last_reads"):
+                    with pytest.raises(rpc.RpcRemoteError) as caught:
+                        client.call(verb, {"key": key, "shards": 2})
+                    assert caught.value.code == rpc.INVALID_PARAMS
+                    assert "got 2" in caught.value.remote_message
+                assert client.slice(key, shards=1)["node_count"] > 0
 
 
 class TestReportSchema:
@@ -176,7 +261,7 @@ class TestReportSchema:
             program, RandomScheduler(seed=1, switch_prob=0.3), RegionSpec())
         return program, pinball, detect_races(pinball, program)
 
-    def test_races_payload_validates_and_keeps_legacy_fields(self):
+    def test_races_payload_validates_without_legacy_fields(self):
         from repro.analysis.report import (SCHEMA, SCHEMA_VERSION,
                                            races_report_payload,
                                            validate_report)
@@ -185,10 +270,9 @@ class TestReportSchema:
         validate_report(payload)
         assert payload["schema"] == SCHEMA
         assert payload["schema_version"] == SCHEMA_VERSION
-        # Legacy spellings ride along for one deprecation cycle and
-        # mirror the canonical fields exactly.
-        assert payload["race_count"] == payload["finding_count"]
-        assert payload["races"] == payload["findings"]
+        # The pre-schema spellings are gone from the envelope.
+        assert "race_count" not in payload
+        assert "races" not in payload
 
     def test_race_payload_wrapper_is_schema_shaped(self):
         from repro.analysis.report import races_report_payload
@@ -217,8 +301,9 @@ class TestReportSchema:
         payload = result.payload()
         validate_report(payload)
         assert payload["kind"] == "maple"
-        # Legacy integer spelling of the candidate count rides along.
-        assert payload["candidates"] == payload["candidate_count"]
+        # Only the schema spelling of the candidate count is emitted.
+        assert "candidates" not in payload
+        assert payload["candidate_count"] >= 0
 
     def test_hunt_payload_validates(self):
         from repro.analysis.hunt import hunt
@@ -233,19 +318,15 @@ class TestReportSchema:
             finding = HuntFinding.from_payload(row)
             assert finding.to_payload() == row
 
-    def test_deprecated_field_reads_old_spelling_with_warning(self):
-        from repro.deprecation import deprecated_field
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert deprecated_field({"race_count": 3}, "race_count",
-                                    "finding_count") == 3
-        assert len(caught) == 1
-        assert issubclass(caught[0].category, DeprecationWarning)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            assert deprecated_field({"finding_count": 4}, "race_count",
-                                    "finding_count") == 4
-        assert not caught
+    def test_deprecation_shims_are_gone(self):
+        from repro.analysis.report import validate_report
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.deprecation")
+        # validate_report reads only the schema spellings.
+        with pytest.raises(ValueError, match="findings"):
+            validate_report({"schema": "repro.report", "schema_version": 1,
+                             "kind": "races", "race_count": 0,
+                             "races": []})
 
     def test_validate_report_rejects_malformed(self):
         from repro.analysis.report import validate_report

@@ -100,9 +100,7 @@ def test_recorded_pinballs_match_and_cross_replay(seed):
 def test_columnar_store_matches_row_store_and_slices_agree(seed):
     program = build_program(seed)
     pinball = record_pinball(program, seed)
-    # Serial: a sharded build traces in worker processes, on the
-    # predecoded machine.
-    options = SliceOptions(index="columnar", shards=1)
+    options = SliceOptions(index="columnar")
 
     columnar = SlicingSession(pinball, program, options=options)
     rows = RowCollector(program, options)
